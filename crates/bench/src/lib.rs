@@ -19,7 +19,7 @@
 
 pub mod load;
 
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ReplicaNode};
+use coterie_core::{ClientRequest, JournaledNode, PartialWrite, ProtocolConfig};
 use coterie_quorum::{CoterieRule, NodeId};
 use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ pub fn cluster(
     n: usize,
     seed: u64,
     configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-) -> Sim<ReplicaNode> {
+) -> Sim<JournaledNode> {
     let config = configure(ProtocolConfig::new(rule, n));
     Sim::new(
         n,
@@ -38,13 +38,13 @@ pub fn cluster(
             seed,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     )
 }
 
 /// Drives `ops` alternating writes and reads through the cluster and runs
 /// to completion; returns committed-op count (for throughput assertions).
-pub fn drive_ops(sim: &mut Sim<ReplicaNode>, ops: u64, gap: SimDuration) -> u64 {
+pub fn drive_ops(sim: &mut Sim<JournaledNode>, ops: u64, gap: SimDuration) -> u64 {
     let n = sim.len() as u32;
     for i in 0..ops {
         let at = SimTime(i * gap.micros());

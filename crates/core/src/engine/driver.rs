@@ -1,15 +1,21 @@
 //! A substrate-free harness for the engine: hold a whole cluster's worth
-//! of [`ReplicaNode`]s plus their in-flight messages and armed timers, and
+//! of [`NodeShell`]s plus their in-flight messages and armed timers, and
 //! let the caller decide *which* pending event happens next.
 //!
 //! This is the building block for schedule exploration: because the driver
 //! is `Clone`, an explorer can fork the cluster at any point and try every
-//! enabled event from the same state. It also journals every
-//! [`Effect::Persist`] into a per-node [`FramedJournal`], so crash-replay
-//! tests can compare reconstructed durable state against the live engine —
-//! and, through the per-node [`Failpoints`], storage faults (failed,
-//! torn, or bit-flipped appends) can be injected at the journal boundary
-//! deterministically.
+//! enabled event from the same state. Each shell journals its node's
+//! durable deltas into a [`FramedJournal`] and recovers crashes by
+//! replaying it, so crash-replay tests can compare reconstructed durable
+//! state against the live engine, and storage faults (failed, torn, or
+//! bit-flipped appends) can be injected at the journal boundary
+//! deterministically through each shell's failpoints.
+//!
+//! Flush policy: a shell commits a group-commit batch by itself only at the
+//! batch cap. The driver's caller decides when else to flush
+//! ([`flush_group_commit`](StepDriver::flush_group_commit)); the fixed
+//! [`run_for`](StepDriver::run_for) schedule flushes whenever the message
+//! pool drains.
 
 use std::fmt::Write as _;
 
@@ -20,11 +26,12 @@ use crate::config::ProtocolConfig;
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::{Durable, ReplicaNode, Timer};
 
-use super::failpoint::{sites, Failpoints, FaultKind, FiredFault};
-use super::io::{Effect, Input};
-use super::metrics::{keys, MetricsRegistry};
-use super::storage::{DurableDelta, FramedJournal, FramedReplay, StableStorage};
-use super::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing, TraceSink};
+use super::failpoint::{sites, FaultKind, FiredFault};
+use super::io::Input;
+use super::metrics::MetricsRegistry;
+use super::shell::{NodeShell, Outbox};
+use super::storage::{FramedJournal, FramedReplay};
+use super::trace::{TraceRecord, TraceRing};
 
 /// An in-flight protocol message.
 #[derive(Clone, Debug)]
@@ -65,60 +72,78 @@ pub enum DriverEvent {
     Recover(NodeId),
 }
 
-/// A cluster of engines plus the pending-event pools they feed on.
-#[derive(Clone, Debug)]
-pub struct StepDriver {
-    config: ProtocolConfig,
-    nodes: Vec<ReplicaNode>,
-    down: Vec<bool>,
-    now: SimTime,
+/// The cluster-wide pools shells release effects into.
+#[derive(Clone, Debug, Default)]
+struct Pools {
     messages: Vec<Envelope>,
     timers: Vec<PendingTimer>,
     outputs: Vec<(SimTime, NodeId, ProtocolEvent)>,
-    journals: Vec<FramedJournal>,
-    failpoints: Vec<Failpoints>,
+}
+
+/// The pools as one node's [`Outbox`] at one instant.
+struct Outlet<'a> {
+    pools: &'a mut Pools,
+    node: NodeId,
+    now: SimTime,
+}
+
+impl Outbox for Outlet<'_> {
+    fn send(&mut self, to: NodeId, msg: Msg, lamport: u64) {
+        self.pools.messages.push(Envelope {
+            from: self.node,
+            to,
+            msg,
+            lamport,
+        });
+    }
+
+    fn set_timer(&mut self, id: TimerId, delay: SimDuration, timer: Timer) {
+        self.pools.timers.push(PendingTimer {
+            node: self.node,
+            id,
+            fire_at: self.now + delay,
+            timer,
+        });
+    }
+
+    fn cancel_timer(&mut self, id: TimerId) {
+        let node = self.node;
+        self.pools
+            .timers
+            .retain(|t| !(t.node == node && t.id == id));
+    }
+
+    fn output(&mut self, event: ProtocolEvent) {
+        self.pools.outputs.push((self.now, self.node, event));
+    }
+}
+
+/// A cluster of node shells plus the pending-event pools they feed on.
+#[derive(Clone, Debug)]
+pub struct StepDriver {
+    config: ProtocolConfig,
+    shells: Vec<NodeShell>,
+    now: SimTime,
+    pools: Pools,
     /// Partition island id per node; nodes in different islands cannot
     /// exchange messages (deliveries bounce as `CallFailed`).
     partition: Vec<u8>,
-    /// Per-node group-commit coalescing buffer (deltas journaled but not
-    /// yet flushed). Always empty when `group_commit_max_batch <= 1`.
-    gc_pending: Vec<Vec<DurableDelta>>,
-    /// Per-node observable effects (sends/outputs) held back behind a
-    /// buffered delta until the covering flush (ack-before-flush).
-    gc_deferred: Vec<Vec<Effect>>,
-    /// Per-node count of journal flushes (header commits) performed.
-    flushes: Vec<u64>,
-    /// Per-node flight recorders; `None` until
-    /// [`enable_tracing`](StepDriver::enable_tracing).
-    tracing: Option<Vec<TraceRing>>,
 }
 
 impl StepDriver {
     /// Builds and boots an `n`-node cluster.
     pub fn new(n: usize, config: ProtocolConfig) -> Self {
-        let seed = config.seed;
         let mut driver = StepDriver {
-            nodes: (0..n as u32)
-                .map(|id| ReplicaNode::new(NodeId(id), config.clone()))
+            shells: (0..n as u32)
+                .map(|id| NodeShell::new(NodeId(id), config.clone()))
                 .collect(),
             config,
-            down: vec![false; n],
             now: SimTime::ZERO,
-            messages: Vec::new(),
-            timers: Vec::new(),
-            outputs: Vec::new(),
-            journals: vec![FramedJournal::new(); n],
-            failpoints: (0..n as u64)
-                .map(|id| Failpoints::new(seed ^ (id << 32)))
-                .collect(),
+            pools: Pools::default(),
             partition: vec![0; n],
-            gc_pending: vec![Vec::new(); n],
-            gc_deferred: vec![Vec::new(); n],
-            flushes: vec![0; n],
-            tracing: None,
         };
         for id in 0..n as u32 {
-            driver.step_node(NodeId(id), Input::Boot);
+            driver.start_node(NodeId(id));
         }
         driver
     }
@@ -136,70 +161,74 @@ impl StepDriver {
 
     /// Submits a client request at `node`.
     pub fn inject(&mut self, node: NodeId, request: ClientRequest) {
-        assert!(!self.down[node.0 as usize], "cannot inject at a down node");
+        assert!(!self.is_down(node), "cannot inject at a down node");
         self.step_node(node, Input::External(request));
     }
 
     /// The in-flight messages, in send order.
     pub fn pending_messages(&self) -> &[Envelope] {
-        &self.messages
+        &self.pools.messages
     }
 
     /// The armed timers, in arming order.
     pub fn pending_timers(&self) -> &[PendingTimer] {
-        &self.timers
+        &self.pools.timers
     }
 
     /// Number of replicas in the cluster.
     pub fn cluster_size(&self) -> usize {
-        self.nodes.len()
+        self.shells.len()
     }
 
     /// True if `node` is currently crashed.
     pub fn is_down(&self, node: NodeId) -> bool {
-        self.down[node.0 as usize]
+        self.shells[node.0 as usize].is_down()
     }
 
     /// Read access to a node's engine.
     pub fn node(&self, node: NodeId) -> &ReplicaNode {
-        &self.nodes[node.0 as usize]
+        &self.shells[node.0 as usize].node
     }
 
     /// Protocol events emitted so far, in emission order.
     pub fn outputs(&self) -> &[(SimTime, NodeId, ProtocolEvent)] {
-        &self.outputs
+        &self.pools.outputs
     }
 
     /// The per-node framed journal of persisted deltas.
     pub fn journal(&self, node: NodeId) -> &FramedJournal {
-        &self.journals[node.0 as usize]
+        &self.shells[node.0 as usize].journal
     }
 
     /// Reconstructs `node`'s durable state purely from its journal.
     pub fn replay_journal(&self, node: NodeId) -> Durable {
-        self.journals[node.0 as usize].replay(&self.config)
+        self.journal(node).replay(&self.config)
     }
 
     /// Checked replay of `node`'s journal: durable state plus the framing
     /// verdict (clean / torn tail / quarantined).
     pub fn replay_checked(&self, node: NodeId) -> FramedReplay {
-        self.journals[node.0 as usize].replay_checked(&self.config)
+        self.shells[node.0 as usize].replay_checked()
     }
 
-    /// Arms a one-shot storage fault at `node`'s next journal append.
+    /// Arms a one-shot storage fault at `node`'s next journal flush.
     pub fn arm_storage_fault(&mut self, node: NodeId, kind: FaultKind) {
-        self.failpoints[node.0 as usize].arm(sites::JOURNAL_APPEND, kind);
+        self.shells[node.0 as usize]
+            .failpoints
+            .arm(sites::JOURNAL_APPEND, kind);
     }
 
-    /// Sets a probabilistic storage-fault rate (per mille per append) at
+    /// Sets a probabilistic storage-fault rate (per mille per flush) at
     /// `node`'s journal. Zero removes the rate.
     pub fn set_storage_fault_rate(&mut self, node: NodeId, kind: FaultKind, per_mille: u16) {
-        self.failpoints[node.0 as usize].set_rate(sites::JOURNAL_APPEND, kind, per_mille);
+        self.shells[node.0 as usize]
+            .failpoints
+            .set_rate(sites::JOURNAL_APPEND, kind, per_mille);
     }
 
     /// Storage faults that actually fired at `node`, in order.
     pub fn fired_faults(&self, node: NodeId) -> &[FiredFault] {
-        self.failpoints[node.0 as usize].fired()
+        self.shells[node.0 as usize].failpoints.fired()
     }
 
     /// Splits the cluster into partition islands: `islands[i]` is node
@@ -207,13 +236,13 @@ impl StepDriver {
     /// `CallFailed` (the fail-stop notification — an unreachable peer is
     /// indistinguishable from a crashed one in this model).
     pub fn set_partition(&mut self, islands: Vec<u8>) {
-        assert_eq!(islands.len(), self.nodes.len(), "one island id per node");
+        assert_eq!(islands.len(), self.shells.len(), "one island id per node");
         self.partition = islands;
     }
 
     /// Heals all partitions.
     pub fn heal_partition(&mut self) {
-        self.partition = vec![0; self.nodes.len()];
+        self.partition = vec![0; self.shells.len()];
     }
 
     /// True if `a` and `b` can currently exchange messages.
@@ -231,9 +260,9 @@ impl StepDriver {
     /// them (the real-time order the 1SR checker's recency rule relies on).
     pub fn deliver(&mut self, i: usize) {
         self.now += SimDuration::from_micros(1);
-        let env = self.messages.remove(i);
-        if self.down[env.to.0 as usize] || !self.connected(env.from, env.to) {
-            if !self.down[env.from.0 as usize] {
+        let env = self.pools.messages.remove(i);
+        if self.is_down(env.to) || !self.connected(env.from, env.to) {
+            if !self.is_down(env.from) {
                 self.step_node(
                     env.from,
                     Input::CallFailed {
@@ -257,34 +286,19 @@ impl StepDriver {
     /// Fires the `i`-th pending timer, advancing time to its nominal expiry
     /// if that lies in the future.
     pub fn fire(&mut self, i: usize) {
-        let t = self.timers.remove(i);
-        debug_assert!(!self.down[t.node.0 as usize], "down nodes hold no timers");
+        let t = self.pools.timers.remove(i);
+        debug_assert!(!self.is_down(t.node), "down nodes hold no timers");
         self.now = self.now.max(t.fire_at);
         self.step_node(t.node, Input::TimerFired(t.timer));
     }
 
-    /// Fail-stops `node`: volatile state and armed timers are lost; in-flight
-    /// messages to it will bounce on delivery.
+    /// Fail-stops `node`: volatile state, armed timers and any batch still
+    /// coalescing are lost (the batch as a torn tail); in-flight messages
+    /// to it will bounce on delivery.
     pub fn crash(&mut self, node: NodeId) {
-        assert!(!self.down[node.0 as usize], "node already down");
-        let i = node.0 as usize;
-        // A crash mid-coalesce leaves the buffered batch as a torn tail on
-        // media: some prefix of its bytes, count never bumped. Replay drops
-        // it — correct, because every observable effect behind it was still
-        // deferred (ack-before-flush), so nothing it covered was promised.
-        if !self.gc_pending[i].is_empty() {
-            let batch = std::mem::take(&mut self.gc_pending[i]);
-            let total: usize = batch
-                .iter()
-                .map(|d| super::codec::encode_delta(d).len() + 8)
-                .sum();
-            let keep = self.failpoints[i].draw(total as u64) as usize;
-            self.journals[i].append_batch_torn(&batch, keep);
-        }
-        self.gc_deferred[i].clear();
-        self.down[i] = true;
-        self.timers.retain(|t| t.node != node);
-        self.step_node(node, Input::Crash);
+        assert!(!self.is_down(node), "node already down");
+        self.shells[node.0 as usize].crash(self.now);
+        self.drop_timers(node);
     }
 
     /// Restarts a crashed node from its journal, exactly as a real host
@@ -295,25 +309,8 @@ impl StepDriver {
     /// protocol: the longest intact prefix is installed, the damaged
     /// history is discarded, and the node re-enters the cluster stale.
     pub fn recover(&mut self, node: NodeId) {
-        assert!(self.down[node.0 as usize], "node not down");
-        self.down[node.0 as usize] = false;
-        let i = node.0 as usize;
-        let replay = self.journals[i].replay_checked(&self.config);
-        let class = match &replay.verdict {
-            super::storage::ReplayVerdict::Clean => ReplayClass::Clean,
-            super::storage::ReplayVerdict::TornTail { .. } => ReplayClass::TornTail,
-            super::storage::ReplayVerdict::Quarantined { .. } => ReplayClass::Quarantined,
-        };
-        self.trace_host(node, TraceEvent::JournalReplay { class });
-        if replay.verdict.is_bootable() {
-            self.journals[i].truncate_tail();
-            self.nodes[i].install_durable(replay.durable);
-            self.step_node(node, Input::Boot);
-        } else {
-            self.journals[i].reset_to(&replay.durable, &self.config);
-            self.nodes[i].install_durable(replay.durable);
-            self.step_node(node, Input::BootQuarantined);
-        }
+        assert!(self.is_down(node), "node not down");
+        self.start_node(node);
     }
 
     /// Runs a fixed, deterministic schedule for `d` of driver time: pending
@@ -327,7 +324,7 @@ impl StepDriver {
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.now + d;
         loop {
-            if !self.messages.is_empty() {
+            if !self.pools.messages.is_empty() {
                 self.deliver(0);
                 continue;
             }
@@ -338,6 +335,7 @@ impl StepDriver {
                 continue;
             }
             let next = self
+                .pools
                 .timers
                 .iter()
                 .enumerate()
@@ -362,283 +360,97 @@ impl StepDriver {
     }
 
     fn step_node(&mut self, node: NodeId, input: Input) {
-        let i = node.0 as usize;
-        let effects = match self.tracing.as_mut() {
-            Some(rings) => self.nodes[i].step_traced(self.now, input, &mut rings[i]),
-            None => self.nodes[i].step(self.now, input),
+        self.drive(node, |shell, now, out| shell.step(now, input, out));
+    }
+
+    fn start_node(&mut self, node: NodeId) {
+        self.drive(node, |shell, now, out| shell.start(now, out));
+    }
+
+    /// Runs one shell call with the pools as its outbox; a call that
+    /// fail-stopped the node takes its armed timers with it.
+    fn drive(
+        &mut self,
+        node: NodeId,
+        call: impl FnOnce(&mut NodeShell, SimTime, &mut Outlet<'_>) -> bool,
+    ) {
+        let now = self.now;
+        let mut out = Outlet {
+            pools: &mut self.pools,
+            node,
+            now,
         };
-        let group = self.config.group_commit_max_batch > 1;
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg, lamport } => {
-                    if group && !self.gc_pending[i].is_empty() {
-                        self.gc_deferred[i].push(Effect::Send { to, msg, lamport });
-                    } else {
-                        self.messages.push(Envelope {
-                            from: node,
-                            to,
-                            msg,
-                            lamport,
-                        });
-                    }
-                }
-                Effect::SetTimer { id, delay, timer } => self.timers.push(PendingTimer {
-                    node,
-                    id,
-                    fire_at: self.now + delay,
-                    timer,
-                }),
-                Effect::CancelTimer(id) => {
-                    self.timers.retain(|t| !(t.node == node && t.id == id));
-                }
-                Effect::Persist(delta) => {
-                    if group {
-                        // Coalesce; the covering flush happens at the batch
-                        // cap (below) or when the schedule goes idle
-                        // (`run_for`) or the caller flushes explicitly.
-                        self.gc_pending[i].push(*delta);
-                        if self.gc_pending[i].len() >= self.config.group_commit_max_batch
-                            && !self.flush_node(node)
-                        {
-                            return; // node fail-stopped mid-flush
-                        }
-                    } else if !self.persist(node, &delta) {
-                        // The append failed (wholly or torn): the write
-                        // never became stable, so the effects that were to
-                        // follow it must not happen — the node fail-stops
-                        // mid-step, exactly like a crash between the disk
-                        // write and the acks it would have covered.
-                        self.down[i] = true;
-                        self.timers.retain(|t| t.node != node);
-                        self.step_node(node, Input::Crash);
-                        return;
-                    }
-                }
-                Effect::Output(ev) => {
-                    if group && !self.gc_pending[i].is_empty() {
-                        self.gc_deferred[i].push(Effect::Output(ev));
-                    } else {
-                        self.outputs.push((self.now, node, ev));
-                    }
-                }
-            }
+        if !call(&mut self.shells[node.0 as usize], now, &mut out) {
+            self.drop_timers(node);
         }
     }
 
-    /// Flushes `node`'s group-commit buffer: one batched journal append
-    /// (the failpoint registry is consulted once per *flush*, matching a
-    /// real host's one-write-per-fsync fault surface), then the deferred
-    /// observable effects are released in their original order. Returns
-    /// false if the node fail-stopped (append fault).
-    fn flush_node(&mut self, node: NodeId) -> bool {
-        let i = node.0 as usize;
-        if !self.gc_pending[i].is_empty() {
-            let batch = std::mem::take(&mut self.gc_pending[i]);
-            let fault = self.failpoints[i].check(sites::JOURNAL_APPEND);
-            let ok = match fault {
-                None => {
-                    self.journals[i].append_batch(&batch);
-                    true
-                }
-                Some(FaultKind::AppendFail) => false,
-                Some(FaultKind::TornWrite) => {
-                    let total: usize = batch
-                        .iter()
-                        .map(|d| super::codec::encode_delta(d).len() + 8)
-                        .sum();
-                    let keep = self.failpoints[i].draw(total as u64) as usize;
-                    self.journals[i].append_batch_torn(&batch, keep);
-                    false
-                }
-                Some(FaultKind::BitFlip) => {
-                    self.journals[i].append_batch(&batch);
-                    let len = self.journals[i].bytes().len() as u64;
-                    let byte = self.failpoints[i].draw(len) as usize;
-                    let bit = self.failpoints[i].draw(8) as u8;
-                    self.journals[i].flip_bit(byte, bit);
-                    true
-                }
-            };
-            if let Some(kind) = fault {
-                self.trace_host(node, TraceEvent::FailpointTrip { kind });
-            }
-            if ok {
-                self.trace_host(
-                    node,
-                    TraceEvent::JournalFlush {
-                        records: batch.len() as u64,
-                    },
-                );
-            }
-            if !ok {
-                // Nothing covered by the lost batch was acknowledged; the
-                // node fail-stops exactly like a write-through append
-                // fault, dropping the deferred effects with it.
-                self.gc_deferred[i].clear();
-                self.down[i] = true;
-                self.timers.retain(|t| t.node != node);
-                self.step_node(node, Input::Crash);
-                return false;
-            }
-            self.flushes[i] += 1;
-        }
-        for effect in std::mem::take(&mut self.gc_deferred[i]) {
-            match effect {
-                Effect::Send { to, msg, lamport } => self.messages.push(Envelope {
-                    from: node,
-                    to,
-                    msg,
-                    lamport,
-                }),
-                Effect::Output(ev) => self.outputs.push((self.now, node, ev)),
-                // buffer_step defers only Send/Output; timers and persists
-                // are applied immediately, never deferred, so reaching one
-                // of these arms would be a buffer_step bug — dropping the
-                // effect is still safe.
-                Effect::SetTimer { .. } | Effect::CancelTimer(_) | Effect::Persist(_) => {}
-            }
-        }
-        true
+    /// A down node holds no timers.
+    fn drop_timers(&mut self, node: NodeId) {
+        self.pools.timers.retain(|t| t.node != node);
     }
 
-    /// Flushes every node's group-commit buffer; returns true if any node
-    /// had buffered deltas or deferred effects to release.
+    /// Flushes every live node's group-commit buffer; returns true if any
+    /// node had buffered deltas or deferred effects to release.
     pub fn flush_group_commit(&mut self) -> bool {
         let mut any = false;
-        for id in 0..self.nodes.len() as u32 {
-            let i = id as usize;
-            if self.down[i] {
-                continue;
-            }
-            if !self.gc_pending[i].is_empty() || !self.gc_deferred[i].is_empty() {
+        for id in 0..self.shells.len() as u32 {
+            let shell = &self.shells[id as usize];
+            if !shell.is_down() && shell.has_pending() {
                 any = true;
-                self.flush_node(NodeId(id));
+                self.drive(NodeId(id), |shell, now, out| shell.flush(now, out));
             }
         }
         any
     }
 
     /// Journal flushes (header commits; fsyncs on a real host) performed
-    /// by `node` so far.
+    /// by `node` so far. A write-through append is one flush.
     pub fn flushes(&self, node: NodeId) -> u64 {
-        self.flushes[node.0 as usize]
+        self.shells[node.0 as usize].flushes
     }
 
     /// Attaches a flight recorder of capacity `cap` to every node. Every
-    /// engine transition and host-level journal event from here on is
+    /// engine transition and shell-level journal event from here on is
     /// retained (bounded, oldest dropped first). Tracing is observational:
     /// effects, journals, and digests are byte-identical with or without
     /// it.
     pub fn enable_tracing(&mut self, cap: usize) {
-        self.tracing = Some(vec![TraceRing::new(cap); self.nodes.len()]);
+        for shell in &mut self.shells {
+            shell.enable_tracing(cap);
+        }
     }
 
     /// True once [`enable_tracing`](StepDriver::enable_tracing) ran.
     pub fn tracing_enabled(&self) -> bool {
-        self.tracing.is_some()
+        self.shells.iter().any(|s| s.trace_ring().is_some())
     }
 
     /// `node`'s flight recorder, if tracing is enabled.
     pub fn trace_ring(&self, node: NodeId) -> Option<&TraceRing> {
-        self.tracing.as_ref().map(|r| &r[node.0 as usize])
+        self.shells[node.0 as usize].trace_ring()
     }
 
     /// All retained records, causally merged across nodes (empty when
     /// tracing is disabled).
     pub fn merged_trace(&self) -> Vec<TraceRecord> {
-        match &self.tracing {
-            Some(rings) => {
-                let refs: Vec<&TraceRing> = rings.iter().collect();
-                super::trace::causal_merge(&refs)
-            }
-            None => Vec::new(),
-        }
+        let rings: Vec<&TraceRing> = self.shells.iter().filter_map(|s| s.trace_ring()).collect();
+        super::trace::causal_merge(&rings)
     }
 
-    /// Stamps and records a host-level event (journal append/flush/replay,
-    /// failpoint trip) against `node`'s recorder. No-op when tracing is
-    /// disabled — host events, unlike engine events, do not consume
-    /// sequence numbers in untraced runs, which is fine because nothing
-    /// observes them there.
-    fn trace_host(&mut self, node: NodeId, event: TraceEvent) {
-        let i = node.0 as usize;
-        if let Some(rings) = self.tracing.as_mut() {
-            let (seq, lamport) = self.nodes[i].trace_stamp();
-            rings[i].record(TraceRecord {
-                at: self.now,
-                node,
-                seq,
-                lamport,
-                event,
-            });
-        }
-    }
-
-    /// A unified snapshot of the cluster's metrics: every node's registry
-    /// merged, plus the driver's own journal-flush counter.
+    /// A unified snapshot of the cluster's metrics: every shell's registry
+    /// (engine counters plus its journal-flush counter) merged.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut merged = MetricsRegistry::new();
-        for node in &self.nodes {
-            merged.merge(&node.stats.registry);
+        for shell in &self.shells {
+            merged.merge(&shell.metrics());
         }
-        merged.add(keys::JOURNAL_FLUSHES, self.flushes.iter().sum());
         merged
     }
 
     /// Deltas currently coalescing in `node`'s group-commit buffer.
     pub fn gc_buffered(&self, node: NodeId) -> usize {
-        self.gc_pending[node.0 as usize].len()
-    }
-
-    /// Appends `delta` to `node`'s journal, consulting the failpoint
-    /// registry. Returns false if the node must fail-stop (append failed
-    /// or tore). A bit-flip fault appends normally, then silently corrupts
-    /// a random journal bit — latent damage discovered at the next replay.
-    fn persist(&mut self, node: NodeId, delta: &DurableDelta) -> bool {
-        let i = node.0 as usize;
-        match self.failpoints[i].check(sites::JOURNAL_APPEND) {
-            None => {
-                self.journals[i].append_delta(delta);
-                self.trace_host(node, TraceEvent::JournalAppend { records: 1 });
-                true
-            }
-            Some(FaultKind::AppendFail) => {
-                self.trace_host(
-                    node,
-                    TraceEvent::FailpointTrip {
-                        kind: FaultKind::AppendFail,
-                    },
-                );
-                false
-            }
-            Some(FaultKind::TornWrite) => {
-                let record_len = super::codec::encode_delta(delta).len() + 8;
-                let keep = self.failpoints[i].draw(record_len as u64) as usize;
-                self.journals[i].append_torn(delta, keep);
-                self.trace_host(
-                    node,
-                    TraceEvent::FailpointTrip {
-                        kind: FaultKind::TornWrite,
-                    },
-                );
-                false
-            }
-            Some(FaultKind::BitFlip) => {
-                self.journals[i].append_delta(delta);
-                let len = self.journals[i].bytes().len() as u64;
-                let byte = self.failpoints[i].draw(len) as usize;
-                let bit = self.failpoints[i].draw(8) as u8;
-                self.journals[i].flip_bit(byte, bit);
-                self.trace_host(
-                    node,
-                    TraceEvent::FailpointTrip {
-                        kind: FaultKind::BitFlip,
-                    },
-                );
-                self.trace_host(node, TraceEvent::JournalAppend { records: 1 });
-                true
-            }
-        }
+        self.shells[node.0 as usize].buffered()
     }
 
     /// A deterministic digest of the cluster's logical state: engine states,
@@ -648,21 +460,26 @@ impl StepDriver {
     /// explorer can prune revisits.
     pub fn state_digest(&self) -> u64 {
         let mut repr = String::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, shell) in self.shells.iter().enumerate() {
             let _ = write!(
                 repr,
                 "n{i};down={};isl={};gcp={:?};gcd={:?};",
-                self.down[i], self.partition[i], self.gc_pending[i], self.gc_deferred[i]
+                shell.is_down(),
+                self.partition[i],
+                shell.pending_deltas(),
+                shell.deferred()
             );
-            canonical_node(&mut repr, node);
+            canonical_node(&mut repr, &shell.node);
         }
         let mut msgs: Vec<String> = self
+            .pools
             .messages
             .iter()
             .map(|e| format!("{}>{}:{:?}", e.from.0, e.to.0, e.msg))
             .collect();
         msgs.sort_unstable();
         let mut tmrs: Vec<String> = self
+            .pools
             .timers
             .iter()
             .map(|t| format!("{}#{}:{:?}", t.node.0, t.id.0, t.timer))
@@ -672,8 +489,8 @@ impl StepDriver {
             repr.push_str(s);
             repr.push('\n');
         }
-        let _ = write!(repr, "outs={}", self.outputs.len());
-        for (_, n, e) in &self.outputs {
+        let _ = write!(repr, "outs={}", self.pools.outputs.len());
+        for (_, n, e) in &self.pools.outputs {
             let _ = write!(repr, ";{}:{e:?}", n.0);
         }
         fnv1a(repr.as_bytes())

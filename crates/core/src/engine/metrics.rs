@@ -1,7 +1,7 @@
 //! The unified metrics registry: `BTreeMap`-keyed counters plus
 //! fixed-bucket latency histograms, std-only and deterministic.
 //!
-//! Every counter the stack used to scatter across `NodeStats` fields and
+//! Every counter the stack used to scatter across per-node stat fields and
 //! harness-side accumulators lives here, keyed by the `&'static str`
 //! constants in [`keys`]. Histograms use log-linear buckets (16 sub-buckets
 //! per octave, values below 16 exact), so quantiles carry at most ~6%
@@ -12,10 +12,12 @@
 //! The registry is snapshot-serializable without serde: [`to_json`]
 //! hand-rolls a deterministic JSON object (BTreeMap iteration is key
 //! order), which serde-equipped crates re-parse for embedding in their own
-//! artifacts. It is exposed uniformly: per node via
-//! [`NodeStats`](crate::node::NodeStats), per cluster via
-//! [`StepDriver::metrics`](super::driver::StepDriver::metrics), and by the
-//! simnet/threaded hosts via `JournaledNode::metrics`.
+//! artifacts. It is exposed uniformly: per engine as
+//! [`ReplicaNode::stats`](crate::node::ReplicaNode::stats), per node with
+//! the journal-flush counter via
+//! [`NodeShell::metrics`](super::shell::NodeShell::metrics), per cluster
+//! via [`StepDriver::metrics`](super::driver::StepDriver::metrics), and by
+//! the simnet/threaded hosts via `JournaledNode::metrics`.
 //!
 //! [`to_json`]: MetricsRegistry::to_json
 

@@ -11,10 +11,12 @@
 //!   engine-owned [`Rng64`] seeded from
 //!   [`ProtocolConfig::seed`](crate::config::ProtocolConfig::seed), so it is
 //!   part of the state machine, not an ambient source;
-//! * **transport, timers, durability** are requested as effects and applied
-//!   by whatever host embeds the engine — the discrete-event simulator, the
-//!   threaded runtime (both via the `simnet-host` feature), or the
-//!   substrate-free [`StepDriver`].
+//! * **transport, timers, durability** are requested as effects. A
+//!   [`NodeShell`] applies the durability rules (journal, group commit,
+//!   ack-before-flush, failpoints, crash replay) and releases the rest to
+//!   whatever host embeds it — the substrate-free [`StepDriver`], or the
+//!   discrete-event simulator and the threaded runtime (both through
+//!   `JournaledNode`, feature `simnet-host`).
 //!
 //! **Determinism guarantee:** two `ReplicaNode`s constructed with the same
 //! `(NodeId, ProtocolConfig)` and fed the same sequence of `(now, Input)`
@@ -25,9 +27,9 @@
 //! additionally travels through [`Effect::Persist`]: whenever a step
 //! changes [`Durable`](crate::node::Durable), the engine prepends a
 //! [`DurableDelta`] describing exactly what changed — epoch installation is
-//! a single atomic delta, mirroring the paper's atomic epoch commit. Hosts
-//! that care about real durability append deltas to a [`StableStorage`]
-//! journal; replaying the journal reconstructs `Durable` after a crash.
+//! a single atomic delta, mirroring the paper's atomic epoch commit. The
+//! shell appends the deltas to a [`FramedJournal`]; replaying the journal
+//! reconstructs `Durable` after a crash.
 
 pub mod codec;
 pub mod ctx;
@@ -36,6 +38,7 @@ pub mod failpoint;
 pub mod io;
 pub mod metrics;
 pub mod rng;
+pub mod shell;
 pub mod step;
 pub mod storage;
 pub mod trace;
@@ -48,10 +51,8 @@ pub use failpoint::{sites, Failpoints, FaultKind, FiredFault};
 pub use io::{Effect, Input};
 pub use metrics::{keys, Histogram, MetricsRegistry};
 pub use rng::Rng64;
-pub use storage::{
-    DurableDelta, FramedJournal, FramedReplay, MemJournal, QuarantineReason, ReplayVerdict,
-    StableStorage,
-};
+pub use shell::{NodeShell, Outbox};
+pub use storage::{DurableDelta, FramedJournal, FramedReplay, QuarantineReason, ReplayVerdict};
 pub use trace::{
     causal_merge, render_jsonl, NoopSink, ReplayClass, TraceEvent, TraceRecord, TraceRing,
     TraceSink,

@@ -114,7 +114,7 @@ impl ReplicaNode {
 
     fn handle_message(&mut self, ctx: &mut NodeCtx<'_>, from: coterie_quorum::NodeId, msg: Msg) {
         let class = msg.class();
-        self.stats.registry.inc(keys::msgs_in(class));
+        self.stats.inc(keys::msgs_in(class));
         ctx.trace(TraceEvent::MsgRecv { from, class });
         match msg {
             Msg::WriteReq { op } => self.srv_write_req(ctx, from, op),
@@ -151,7 +151,7 @@ impl ReplicaNode {
 
     fn handle_call_failed(&mut self, ctx: &mut NodeCtx<'_>, to: coterie_quorum::NodeId, msg: Msg) {
         let class = msg.class();
-        self.stats.registry.inc(keys::msgs_bounced(class));
+        self.stats.inc(keys::msgs_bounced(class));
         ctx.trace(TraceEvent::MsgBounce { to, class });
         match msg {
             Msg::WriteReq { op } => self.on_write_peer_failed(ctx, op, to),

@@ -1,5 +1,4 @@
-//! Durability: deltas, the stable-storage contract, and an in-memory
-//! journal.
+//! Durability: deltas, the framed journal, and the group-commit buffer.
 //!
 //! The engine never writes to disk; it *describes* what must become
 //! durable. After every [`step`](crate::node::ReplicaNode::step) that
@@ -10,8 +9,9 @@
 //!
 //! * **Atomicity of epoch installation.** The paper requires the epoch
 //!   tuple `(enumber, elist)` to change atomically; the delta carries the
-//!   pair as one field, and a whole delta is applied atomically by
-//!   [`StableStorage::append`], so no torn epoch can be observed on replay.
+//!   pair as one field, and a whole delta is committed atomically by
+//!   [`FramedJournal`] (a record counts only once the header's commit
+//!   pointer covers it), so no torn epoch can be observed on replay.
 //! * **Write-ahead ordering.** The `Persist` effect is always the *first*
 //!   effect of a step: a host that journals before sending guarantees the
 //!   2PC prepare record is stable before the vote that promises it.
@@ -171,87 +171,6 @@ impl DurableDelta {
         if let Some(p) = self.rejoin_pending {
             durable.rejoin_pending = p;
         }
-    }
-}
-
-/// The contract between the engine's hosts and a durability backend.
-///
-/// `append` must be atomic: after a crash, replay sees every delta up to
-/// some prefix boundary, never half of one. The in-memory [`MemJournal`]
-/// satisfies this trivially; a disk-backed implementation would frame and
-/// checksum records.
-pub trait StableStorage {
-    /// Atomically appends one step's durable change.
-    fn append(&mut self, delta: &DurableDelta);
-
-    /// Reconstructs the durable state from the journal: the pristine state
-    /// for `config`, plus every appended delta in order.
-    fn replay(&self, config: &ProtocolConfig) -> Durable;
-}
-
-/// An append-only in-memory journal of [`DurableDelta`]s with optional
-/// compaction.
-#[derive(Clone, Debug, Default)]
-pub struct MemJournal {
-    /// Compacted prefix, if [`compact`](MemJournal::compact) has run.
-    base: Option<Durable>,
-    /// Deltas appended since the base.
-    deltas: Vec<DurableDelta>,
-    appended_total: u64,
-}
-
-impl MemJournal {
-    /// An empty journal.
-    pub fn new() -> Self {
-        MemJournal::default()
-    }
-
-    /// Number of deltas currently retained (since the last compaction).
-    pub fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// True if nothing has ever been appended.
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty() && self.base.is_none()
-    }
-
-    /// Total deltas appended over the journal's lifetime (compaction does
-    /// not reset this).
-    pub fn appended_total(&self) -> u64 {
-        self.appended_total
-    }
-
-    /// The deltas retained since the last compaction, in append order.
-    /// Determinism tests serialize these to compare runs byte-for-byte.
-    pub fn deltas(&self) -> &[DurableDelta] {
-        &self.deltas
-    }
-
-    /// Folds all retained deltas into a single base snapshot, bounding
-    /// memory while preserving [`replay`](StableStorage::replay) results.
-    pub fn compact(&mut self, config: &ProtocolConfig) {
-        let folded = self.replay(config);
-        self.base = Some(folded);
-        self.deltas.clear();
-    }
-}
-
-impl StableStorage for MemJournal {
-    fn append(&mut self, delta: &DurableDelta) {
-        self.deltas.push(delta.clone());
-        self.appended_total += 1;
-    }
-
-    fn replay(&self, config: &ProtocolConfig) -> Durable {
-        let mut durable = match &self.base {
-            Some(base) => base.clone(),
-            None => Durable::pristine(config),
-        };
-        for delta in &self.deltas {
-            delta.apply(&mut durable);
-        }
-        durable
     }
 }
 
@@ -456,12 +375,15 @@ impl FramedJournal {
         self.rewrite_header();
     }
 
-    /// A torn group-commit flush: only `keep` bytes of the batch's records
-    /// reach the journal and the count is *not* bumped, so replay drops
-    /// the whole batch as a torn tail. Correct because the single header
-    /// rewrite is the batch's only commit point — a crash anywhere before
-    /// it loses every delta of the batch, none of which was acknowledged
-    /// (ack-before-flush). At least one byte is always dropped.
+    /// A torn flush (a one-record batch is a torn write-through append):
+    /// only `keep` bytes of the batch's records reach the journal and the
+    /// count is *not* bumped, so replay drops the whole batch as a torn
+    /// tail. Correct because the single header rewrite is the batch's only
+    /// commit point — a crash anywhere before it loses every delta of the
+    /// batch, none of which was acknowledged (ack-before-flush). At least
+    /// one byte is always dropped (a fully written batch would be
+    /// indistinguishable from a crash just before the commit, which
+    /// recovers the same way).
     pub fn append_batch_torn(&mut self, deltas: &[DurableDelta], keep: usize) {
         let mut record = Vec::new();
         for delta in deltas {
@@ -474,23 +396,6 @@ impl FramedJournal {
         self.buf
             .extend_from_slice(record.get(..keep).unwrap_or(&record));
         self.appended_total += deltas.len() as u64;
-    }
-
-    /// A torn append: only `keep` bytes of the record reach the journal
-    /// and the count is *not* bumped — the on-media state after a crash
-    /// mid-append. At least one byte is always dropped (a fully-written
-    /// record would be indistinguishable from a pre-commit crash, which
-    /// is the same recovery anyway).
-    pub fn append_torn(&mut self, delta: &DurableDelta, keep: usize) {
-        let payload = super::codec::encode_delta(delta);
-        let mut record = Vec::with_capacity(payload.len().saturating_add(8));
-        record.extend_from_slice(&len_prefix(&payload));
-        record.extend_from_slice(&super::codec::crc32(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
-        let keep = keep.min(record.len().saturating_sub(1));
-        self.buf
-            .extend_from_slice(record.get(..keep).unwrap_or(&record));
-        self.appended_total += 1;
     }
 
     /// Flips one bit in place; returns false if `byte` is out of range.
@@ -554,6 +459,13 @@ impl FramedJournal {
         }
         fresh.appended_total = self.appended_total.saturating_add(fresh.count);
         *self = fresh;
+    }
+
+    /// The durable state of the longest intact committed prefix. Hosts
+    /// that care about the verdict call
+    /// [`replay_checked`](FramedJournal::replay_checked).
+    pub fn replay(&self, config: &ProtocolConfig) -> Durable {
+        self.replay_checked(config).durable
     }
 
     /// Replays the journal, verifying framing and checksums (see the type
@@ -644,10 +556,10 @@ impl FramedJournal {
 }
 
 /// The coalescing half of group commit (DESIGN.md §10): deltas accumulate
-/// here until the batch cap is hit or the host's flush deadline fires, then
-/// drain into one [`FramedJournal::append_batch`]. The buffer itself is
-/// host-agnostic bookkeeping — *hosts* own the two correctness rules that
-/// make coalescing safe:
+/// here until the batch cap is hit or the host asks for a flush, then
+/// commit as one [`FramedJournal::append_batch`]. The buffer itself is
+/// bookkeeping — [`NodeShell`](super::shell::NodeShell) owns the two
+/// correctness rules that make coalescing safe:
 ///
 /// * **Ack-before-flush**: every effect of a step whose `Persist` is still
 ///   buffered (sends, outputs — anything observable) must be deferred
@@ -688,14 +600,15 @@ impl GroupCommitBuffer {
         self.pending.is_empty()
     }
 
-    /// The buffered deltas (digest/inspection; flushing uses `drain`).
+    /// The buffered deltas, oldest first.
     pub fn pending(&self) -> &[DurableDelta] {
         &self.pending
     }
 
-    /// Takes the buffered batch, leaving the buffer empty.
-    pub fn drain(&mut self) -> Vec<DurableDelta> {
-        std::mem::take(&mut self.pending)
+    /// Empties the buffer once its batch is committed (or lost), keeping
+    /// the allocation for the next batch.
+    pub fn clear(&mut self) {
+        self.pending.clear();
     }
 }
 
@@ -718,19 +631,6 @@ fn quarantined(durable: Durable, records_applied: u64, reason: QuarantineReason)
         durable,
         records_applied,
         verdict: ReplayVerdict::Quarantined { reason },
-    }
-}
-
-impl StableStorage for FramedJournal {
-    fn append(&mut self, delta: &DurableDelta) {
-        self.append_delta(delta);
-    }
-
-    /// Unchecked-contract replay: returns the longest intact prefix. Hosts
-    /// that care about the verdict call
-    /// [`replay_checked`](FramedJournal::replay_checked) directly.
-    fn replay(&self, config: &ProtocolConfig) -> Durable {
-        self.replay_checked(config).durable
     }
 }
 
@@ -799,7 +699,7 @@ mod tests {
     fn journal_replay_reconstructs_state() {
         let config = cfg();
         let mut state = Durable::pristine(&config);
-        let mut journal = MemJournal::new();
+        let mut journal = FramedJournal::new();
 
         for v in 1..=6u64 {
             let mut next = state.clone();
@@ -811,20 +711,11 @@ mod tests {
                 write: PartialWrite::new([((v % 4) as PageId, b("pg"))]),
             });
             let delta = DurableDelta::diff(&state, &next).expect("changed");
-            journal.append(&delta);
+            journal.append_delta(&delta);
             state = next;
 
             assert_eq!(journal.replay(&config), state);
         }
-        assert_eq!(journal.appended_total(), 6);
-
-        journal.compact(&config);
-        assert_eq!(journal.len(), 0);
-        assert_eq!(
-            journal.replay(&config),
-            state,
-            "compaction preserves replay"
-        );
         assert_eq!(journal.appended_total(), 6);
     }
 
@@ -857,8 +748,6 @@ mod tests {
         assert_eq!(replay.records_applied, 6);
         assert_eq!(replay.durable, state);
         assert_eq!(journal.committed_records(), 6);
-        // The StableStorage contract view agrees.
-        assert_eq!(journal.replay(&config), state);
     }
 
     #[test]
@@ -868,7 +757,7 @@ mod tests {
         let mut next = state.clone();
         next.version = 9;
         let delta = DurableDelta::diff(&state, &next).expect("changed");
-        journal.append_torn(&delta, 5);
+        journal.append_batch_torn(&[delta], 5);
         let replay = journal.replay_checked(&config);
         assert_eq!(replay.verdict, ReplayVerdict::TornTail { dropped_bytes: 5 });
         assert_eq!(replay.durable, state, "torn record dropped, prefix kept");
@@ -882,7 +771,7 @@ mod tests {
         let mut next = state.clone();
         next.version = 2;
         let delta = DurableDelta::diff(&state, &next).expect("changed");
-        journal.append_torn(&delta, usize::MAX);
+        journal.append_batch_torn(&[delta], usize::MAX);
         let replay = journal.replay_checked(&config);
         assert!(
             matches!(replay.verdict, ReplayVerdict::TornTail { .. }),

@@ -300,7 +300,7 @@ impl ReplicaNode {
                 },
             );
         }
-        self.stats.registry.inc(keys::EPOCH_CHANGES);
+        self.stats.inc(keys::EPOCH_CHANGES);
         self.finish_epoch_check(ctx, op);
     }
 

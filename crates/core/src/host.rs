@@ -1,56 +1,42 @@
-//! Host adapters binding the sans-I/O engine to the `coterie-simnet`
-//! substrate (feature `simnet-host`).
+//! The host adapter binding node shells to the `coterie-simnet` substrate
+//! (feature `simnet-host`).
 //!
-//! The adapters are deliberately thin: each simulator callback is
-//! translated into one [`Input`], fed to [`ReplicaNode::step`], and the
-//! returned [`Effect`]s are replayed onto the simulator's context. All
-//! protocol behaviour lives in the engine; nothing here makes decisions.
+//! [`JournaledNode`] is the one [`Application`] both simnet hosts — the
+//! discrete-event [`Sim`](coterie_simnet::Sim) and the
+//! [`ThreadedRuntime`](coterie_simnet::ThreadedRuntime) — run. It is a
+//! [`NodeShell`] (engine, journal, group commit, ack-before-flush,
+//! failpoints, trace ring, flush counter; see `engine/shell.rs`) plus the
+//! pieces that only a real host has, kept here so engine code stays free
+//! of clocks and files:
 //!
-//! Two hosts are provided:
+//! * an optional `fdatasync` mirror of the journal ([`SyncSink`]), so each
+//!   flush costs what it would on real storage;
+//! * a wall-clock flush-latency histogram;
+//! * the flush policy for a group-commit batch that has not reached its
+//!   cap: flush when the inbox drains ([`Application::on_idle`], threaded
+//!   runtime only), or at the latest when the [`Timer::HostFlush`]
+//!   deadline (`group_commit_max_delay`) fires.
 //!
-//! * [`ReplicaNode`] itself implements [`Application`] — durable state
-//!   simply lives in the engine struct (and survives simulated crashes
-//!   because the engine value survives them). `Persist` effects are
-//!   dropped: there is no storage to write to.
-//! * [`JournaledNode`] additionally appends every `Persist` delta to a
-//!   framed, checksummed [`FramedJournal`] and, on crash, **discards the
-//!   engine's durable state and reinstalls it from checked journal
-//!   replay** — so a simulation run over `JournaledNode`s proves the
-//!   journal alone carries everything the protocol needs across failures.
-//!   A quarantined replay (damage inside the committed prefix) makes the
-//!   next start a [`Input::BootQuarantined`], which enters the
-//!   stale-rejoin protocol instead of booting normally.
-//!
-//! When [`group_commit_max_batch`] is above 1, `JournaledNode` coalesces
-//! journal appends (DESIGN.md §10): `Persist` deltas accumulate in a
-//! [`GroupCommitBuffer`] and flush as one [`FramedJournal::append_batch`]
-//! when the batch cap is hit or the [`Timer::HostFlush`] deadline fires.
-//! While any delta is buffered, every *observable* effect (`Send`,
-//! `Output`) is deferred until the covering flush — the ack-before-flush
-//! rule: a client ack or a 2PC vote must never outrun the stable-storage
-//! write that justifies it. Timer effects stay immediate: they are local,
-//! leak nothing, and the engine's handlers already tolerate spurious
-//! firings. A crash with a non-empty buffer simply discards it — none of
-//! the buffered steps' observable effects escaped, so recovery is
-//! identical to crashing just before those steps ran.
-//!
-//! [`group_commit_max_batch`]: crate::config::ProtocolConfig::group_commit_max_batch
+//! Every crash is recovered from the journal alone: the restart replays
+//! it and installs the result, so a simulation over `JournaledNode`s
+//! proves the journal carries everything the protocol needs across
+//! failures. The simnet hosts never arm the shell's failpoints.
 
-use coterie_base::{SimTime, TimerId};
+use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
 use coterie_simnet::{Application, Ctx};
 
-use crate::engine::io::{Effect, Input};
+use crate::engine::io::Input;
 use crate::engine::metrics::{keys, MetricsRegistry};
-use crate::engine::storage::{FramedJournal, GroupCommitBuffer};
-use crate::engine::trace::{ReplayClass, TraceEvent, TraceRecord, TraceRing, TraceSink};
+use crate::engine::shell::{NodeShell, Outbox};
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
-use crate::node::{ReplicaNode, Timer};
+use crate::node::Timer;
 
 /// What travels over the simulated (or threaded) network: the protocol
 /// message plus the sender's Lamport stamp. The stamp is trace metadata —
-/// hosts thread it from [`Effect::Send`] to [`Input::Deliver`] so causal
-/// ordering survives the substrate; the protocol itself never reads it.
+/// hosts thread it from [`Effect::Send`](crate::engine::Effect::Send) to
+/// [`Input::Deliver`] so causal ordering survives the substrate; the
+/// protocol itself never reads it.
 #[derive(Clone, Debug)]
 pub struct WireMsg {
     /// The sender's Lamport counter at send time.
@@ -65,9 +51,10 @@ pub struct WireMsg {
 pub const HOST_FLUSH_TIMER: TimerId = TimerId(u64::MAX);
 
 /// A best-effort on-disk mirror of the journal image, used by the
-/// throughput bench to charge each flush a real `fsync`. Errors are
-/// swallowed: the in-memory [`FramedJournal`] stays authoritative, the
-/// sink only exists so a flush costs what it would on real storage.
+/// throughput benchmarks to charge each flush a real `fsync`. Errors are
+/// swallowed: the in-memory [`FramedJournal`](crate::engine::FramedJournal)
+/// stays authoritative, the sink only exists so a flush costs what it
+/// would on real storage.
 #[derive(Clone, Debug)]
 pub struct SyncSink {
     file: std::sync::Arc<std::fs::File>,
@@ -110,158 +97,46 @@ impl SyncSink {
     }
 }
 
-/// Replays engine effects onto a simulator context. `Persist` effects are
-/// handled by the caller (journaling hosts intercept them first).
-fn replay_effects<A>(ctx: &mut Ctx<'_, A>, effects: &[Effect])
-where
-    A: Application<Msg = WireMsg, Timer = Timer, Output = ProtocolEvent>,
-{
-    for effect in effects {
-        match effect {
-            Effect::Send { to, msg, lamport } => ctx.send(
-                *to,
-                WireMsg {
-                    lamport: *lamport,
-                    msg: msg.clone(),
-                },
-            ),
-            Effect::SetTimer { id, delay, timer } => {
-                ctx.set_timer_with_id(*id, *delay, timer.clone())
-            }
-            Effect::CancelTimer(id) => ctx.cancel_timer(*id),
-            Effect::Persist(_) => {}
-            Effect::Output(event) => ctx.output(event.clone()),
-        }
+impl Outbox for Ctx<'_, JournaledNode> {
+    fn send(&mut self, to: NodeId, msg: Msg, lamport: u64) {
+        Ctx::send(self, to, WireMsg { lamport, msg });
+    }
+
+    fn set_timer(&mut self, id: TimerId, delay: SimDuration, timer: Timer) {
+        self.set_timer_with_id(id, delay, timer);
+    }
+
+    fn cancel_timer(&mut self, id: TimerId) {
+        Ctx::cancel_timer(self, id);
+    }
+
+    fn output(&mut self, event: ProtocolEvent) {
+        Ctx::output(self, event);
     }
 }
 
-impl Application for ReplicaNode {
-    type Msg = WireMsg;
-    type Timer = Timer;
-    type External = ClientRequest;
-    type Output = ProtocolEvent;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let effects = self.step(ctx.now(), Input::Boot);
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_crash(&mut self) {
-        // Crash produces no effects (it only wipes volatile state); the
-        // host drops this node's pending timers itself.
-        let _ = self.step(SimTime::ZERO, Input::Crash);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, wire: WireMsg) {
-        let effects = self.step(
-            ctx.now(),
-            Input::Deliver {
-                from,
-                msg: wire.msg,
-                lamport: wire.lamport,
-            },
-        );
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_call_failed(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, wire: WireMsg) {
-        let effects = self.step(ctx.now(), Input::CallFailed { to, msg: wire.msg });
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
-        let effects = self.step(ctx.now(), Input::TimerFired(timer));
-        replay_effects(ctx, &effects);
-    }
-
-    fn on_external(&mut self, ctx: &mut Ctx<'_, Self>, request: ClientRequest) {
-        let effects = self.step(ctx.now(), Input::External(request));
-        replay_effects(ctx, &effects);
-    }
-}
-
-/// A replica host that treats the [`FramedJournal`] as its only stable
-/// storage: durable state is recovered from checked journal replay after
-/// every crash rather than trusted from memory. Optionally group-commits
-/// journal appends (see the module docs).
+/// A [`NodeShell`] hosted on the simnet substrate (see the module docs).
+/// Dereferences to the shell, and through it to the engine.
 #[derive(Clone, Debug)]
 pub struct JournaledNode {
-    /// The engine.
-    pub node: ReplicaNode,
-    /// The framed journal of persisted deltas.
-    pub journal: FramedJournal,
-    /// Set when the last crash-replay quarantined the journal; the next
-    /// start boots via the stale-rejoin protocol.
-    quarantined: bool,
-    /// Coalescing buffer for group commit (cap 1 = write-through).
-    buffer: GroupCommitBuffer,
-    /// Observable effects held back until the covering flush.
-    deferred: Vec<Effect>,
+    shell: NodeShell,
     /// True while a [`HOST_FLUSH_TIMER`] is armed.
     flush_armed: bool,
-    /// Journal flushes performed (each is one header commit; on real
-    /// storage, one fsync). The throughput bench reads this to show the
-    /// fsync amortization group commit buys.
-    pub flushes: u64,
     /// Optional on-disk mirror: every flush also writes the journal delta
     /// to a real file and `fdatasync`s it.
     sync: Option<SyncSink>,
-    /// Optional bounded flight recorder for this node's trace events.
-    tracing: Option<TraceRing>,
-    /// Host-level metrics: journal flush count and flush latency.
+    /// Host-level metrics: the wall-clock flush-latency histogram.
     host_metrics: MetricsRegistry,
 }
 
 impl JournaledNode {
     /// Creates a journaled node with pristine state and an empty journal.
     pub fn new(me: NodeId, config: crate::config::ProtocolConfig) -> Self {
-        let cap = config.group_commit_max_batch;
         JournaledNode {
-            node: ReplicaNode::new(me, config),
-            journal: FramedJournal::new(),
-            quarantined: false,
-            buffer: GroupCommitBuffer::new(cap),
-            deferred: Vec::new(),
+            shell: NodeShell::new(me, config),
             flush_armed: false,
-            flushes: 0,
             sync: None,
-            tracing: None,
             host_metrics: MetricsRegistry::new(),
-        }
-    }
-
-    /// Attaches a flight recorder keeping the last `cap` trace events.
-    pub fn enable_tracing(&mut self, cap: usize) {
-        self.tracing = Some(TraceRing::new(cap));
-    }
-
-    /// This node's flight recorder, if tracing is enabled.
-    pub fn trace_ring(&self) -> Option<&TraceRing> {
-        self.tracing.as_ref()
-    }
-
-    /// A unified snapshot of this node's metrics: the engine's registry
-    /// merged with the host's journal counters and flush-latency histogram.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut merged = self.node.stats.registry.clone();
-        merged.merge(&self.host_metrics);
-        merged.add(keys::JOURNAL_FLUSHES, self.flushes);
-        merged
-    }
-
-    /// Stamps and records a host-level trace event (no-op when tracing is
-    /// disabled).
-    fn trace_host(&mut self, at: SimTime, event: TraceEvent) {
-        if let Some(ring) = self.tracing.as_mut() {
-            let node = self.node.me;
-            let (seq, lamport) = self.node.trace_stamp();
-            ring.record(TraceRecord {
-                at,
-                node,
-                seq,
-                lamport,
-                event,
-            });
         }
     }
 
@@ -271,112 +146,59 @@ impl JournaledNode {
         self.sync = Some(SyncSink::new(file));
     }
 
-    /// True while a quarantined replay is waiting for its rejoin boot.
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined
+    /// A unified snapshot of this node's metrics: the shell's registry
+    /// (engine counters plus journal flushes) merged with the host's
+    /// flush-latency histogram.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut merged = self.shell.metrics();
+        merged.merge(&self.host_metrics);
+        merged
     }
 
-    /// Deltas buffered and not yet flushed to the journal.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
+    fn run(&mut self, ctx: &mut Ctx<'_, Self>, input: Input) {
+        let flushes = self.shell.flushes;
+        self.shell.step(ctx.now(), input, ctx);
+        self.after_shell(ctx, flushes);
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, Self>) {
-        if !self.buffer.is_empty() {
-            let batch = self.buffer.drain();
+        let flushes = self.shell.flushes;
+        self.shell.flush(ctx.now(), ctx);
+        self.after_shell(ctx, flushes);
+    }
+
+    /// The host's half of every shell call: mirror a flush that just
+    /// happened to disk, and keep the flush deadline armed exactly while
+    /// a batch is buffered. Released effects only leave when the callback
+    /// returns, so the mirror's `fdatasync` precedes them.
+    fn after_shell(&mut self, ctx: &mut Ctx<'_, Self>, flushes_before: u64) {
+        if self.shell.flushes != flushes_before {
             // Host boundary: wall-clock timing of the (possibly fsync'd)
             // flush — measurement only, never protocol-visible.
             #[allow(clippy::disallowed_methods)]
             let started = std::time::Instant::now();
-            self.journal.append_batch(&batch);
-            self.flushes += 1;
             if let Some(sink) = &mut self.sync {
-                sink.commit(self.journal.bytes());
+                sink.commit(self.shell.journal.bytes());
             }
             self.host_metrics
                 .observe(keys::JOURNAL_FLUSH_US, started.elapsed().as_micros() as u64);
-            self.trace_host(
-                ctx.now(),
-                TraceEvent::JournalFlush {
-                    records: batch.len() as u64,
-                },
-            );
         }
-        if std::mem::take(&mut self.flush_armed) {
+        let buffered = self.shell.buffered() > 0;
+        if buffered && !self.flush_armed {
+            let delay = self.shell.node.config.group_commit_max_delay;
+            ctx.set_timer_with_id(HOST_FLUSH_TIMER, delay, Timer::HostFlush);
+            self.flush_armed = true;
+        } else if !buffered && std::mem::take(&mut self.flush_armed) {
             ctx.cancel_timer(HOST_FLUSH_TIMER);
-        }
-        let held = std::mem::take(&mut self.deferred);
-        replay_effects(ctx, &held);
-    }
-
-    fn run(&mut self, ctx: &mut Ctx<'_, Self>, input: Input) {
-        let now = ctx.now();
-        let effects = match self.tracing.as_mut() {
-            Some(ring) => self.node.step_traced(now, input, ring),
-            None => self.node.step(now, input),
-        };
-        let write_through = self.node.config.group_commit_max_batch <= 1;
-        if write_through {
-            // Write-ahead: journal the delta before any send/output it
-            // governs.
-            let mut appended = false;
-            for effect in &effects {
-                if let Effect::Persist(delta) = effect {
-                    #[allow(clippy::disallowed_methods)]
-                    let started = std::time::Instant::now();
-                    self.journal.append_delta(delta);
-                    self.flushes += 1;
-                    if let Some(sink) = &mut self.sync {
-                        sink.commit(self.journal.bytes());
-                    }
-                    self.host_metrics
-                        .observe(keys::JOURNAL_FLUSH_US, started.elapsed().as_micros() as u64);
-                    appended = true;
-                }
-            }
-            if appended {
-                self.trace_host(now, TraceEvent::JournalAppend { records: 1 });
-            }
-            replay_effects(ctx, &effects);
-            return;
-        }
-        let mut must_flush = false;
-        for effect in effects {
-            match effect {
-                Effect::Persist(delta) => {
-                    if self.buffer.is_empty() && !self.flush_armed {
-                        let delay = self.node.config.group_commit_max_delay;
-                        ctx.set_timer_with_id(HOST_FLUSH_TIMER, delay, Timer::HostFlush);
-                        self.flush_armed = true;
-                    }
-                    must_flush |= self.buffer.push(*delta);
-                }
-                Effect::SetTimer { id, delay, timer } => {
-                    ctx.set_timer_with_id(id, delay, timer);
-                }
-                Effect::CancelTimer(id) => ctx.cancel_timer(id),
-                observable @ (Effect::Send { .. } | Effect::Output(_)) => {
-                    // Ack-before-flush: anything behind a buffered delta
-                    // waits for the flush that makes the delta stable.
-                    if self.buffer.is_empty() {
-                        replay_effects(ctx, std::slice::from_ref(&observable));
-                    } else {
-                        self.deferred.push(observable);
-                    }
-                }
-            }
-        }
-        if must_flush {
-            self.flush(ctx);
         }
     }
 }
 
 impl std::ops::Deref for JournaledNode {
-    type Target = ReplicaNode;
+    type Target = NodeShell;
 
-    fn deref(&self) -> &ReplicaNode {
-        &self.node
+    fn deref(&self) -> &NodeShell {
+        &self.shell
     }
 }
 
@@ -387,40 +209,16 @@ impl Application for JournaledNode {
     type Output = ProtocolEvent;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        if std::mem::take(&mut self.quarantined) {
-            self.run(ctx, Input::BootQuarantined);
-        } else {
-            self.run(ctx, Input::Boot);
-        }
+        // A first start boots; a restart replays the journal first.
+        let flushes = self.shell.flushes;
+        self.shell.start(ctx.now(), ctx);
+        self.after_shell(ctx, flushes);
     }
 
     fn on_crash(&mut self) {
-        let _ = self.node.step(SimTime::ZERO, Input::Crash);
-        // A crash loses the coalescing buffer and everything deferred
-        // behind it — none of it was observable, so this is the same as
-        // crashing before those steps. The host drops our timers (the
-        // flush deadline included).
-        self.buffer.drain();
-        self.deferred.clear();
+        // The substrate drops our timers, the flush deadline included.
+        self.shell.crash(SimTime::ZERO);
         self.flush_armed = false;
-        // Lose the in-memory durable state; come back from "disk" via a
-        // checked replay. A torn tail is truncated (it was never
-        // acknowledged); a quarantined journal is reset to the intact
-        // prefix and flagged so the next start takes the rejoin path.
-        let replay = self.journal.replay_checked(&self.node.config);
-        let class = match &replay.verdict {
-            crate::engine::storage::ReplayVerdict::Clean => ReplayClass::Clean,
-            crate::engine::storage::ReplayVerdict::TornTail { .. } => ReplayClass::TornTail,
-            crate::engine::storage::ReplayVerdict::Quarantined { .. } => ReplayClass::Quarantined,
-        };
-        if replay.verdict.is_bootable() {
-            self.journal.truncate_tail();
-        } else {
-            self.journal.reset_to(&replay.durable, &self.node.config);
-            self.quarantined = true;
-        }
-        self.node.install_durable(replay.durable);
-        self.trace_host(SimTime::ZERO, TraceEvent::JournalReplay { class });
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, wire: WireMsg) {
@@ -439,8 +237,7 @@ impl Application for JournaledNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
-        // Intercept the host-owned flush deadline; it never reaches the
-        // engine.
+        // The flush deadline is host-owned; it never reaches the engine.
         if matches!(timer, Timer::HostFlush) {
             self.flush_armed = false;
             self.flush(ctx);
@@ -456,7 +253,7 @@ impl Application for JournaledNode {
     fn on_idle(&mut self, ctx: &mut Ctx<'_, Self>) {
         // The inbox is empty, so nothing else is coming to fill the
         // batch; waiting out the flush deadline would be pure latency.
-        if !self.buffer.is_empty() || !self.deferred.is_empty() {
+        if self.shell.has_pending() {
             self.flush(ctx);
         }
     }

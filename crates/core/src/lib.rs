@@ -27,10 +27,12 @@
 //! [`coterie_quorum::GridCoterie`] yields the paper's *dynamic grid
 //! protocol*; [`coterie_quorum::MajorityCoterie`] yields dynamic voting.
 //!
-//! The engine consumes [`Input`]s and emits [`Effect`]s; hosts apply them
-//! to a substrate. The [`StepDriver`] below is the substrate-free host
-//! (the `simnet-host` feature adds adapters for the discrete-event
-//! simulator and the threaded runtime):
+//! The engine consumes [`Input`]s and emits [`Effect`]s. A [`NodeShell`]
+//! wraps each engine with its journal and the durability rules, and hosts
+//! apply what the shell releases to a substrate. The [`StepDriver`] below
+//! is the substrate-free host (the `simnet-host` feature adds
+//! `JournaledNode`, the shell's adapter for the discrete-event simulator
+//! and the threaded runtime):
 //!
 //! ```
 //! use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, StepDriver};
@@ -78,9 +80,9 @@ pub use election::InitiatorPolicy;
 pub use engine::driver::{Envelope, PendingTimer};
 pub use engine::{
     causal_merge, keys, render_jsonl, DriverEvent, DurableDelta, Effect, Failpoints, FaultKind,
-    FiredFault, FramedJournal, FramedReplay, Histogram, Input, MemJournal, MetricsRegistry,
-    NodeCtx, NoopSink, QuarantineReason, ReplayClass, ReplayVerdict, Rng64, StableStorage,
-    StepDriver, TraceEvent, TraceRecord, TraceRing, TraceSink,
+    FiredFault, FramedJournal, FramedReplay, Histogram, Input, MetricsRegistry, NodeCtx, NodeShell,
+    NoopSink, Outbox, QuarantineReason, ReplayClass, ReplayVerdict, Rng64, StepDriver, TraceEvent,
+    TraceRecord, TraceRing, TraceSink,
 };
 #[cfg(feature = "simnet-host")]
 pub use host::{JournaledNode, WireMsg};
@@ -89,6 +91,6 @@ pub use msg::{
     Action, ClientRequest, FailReason, Msg, MsgClass, OpId, PropPayload, PropReply, ProtocolEvent,
     StateTuple,
 };
-pub use node::{Durable, NodeStats, ReplicaNode, Timer, Volatile};
+pub use node::{Durable, ReplicaNode, Timer, Volatile};
 pub use rejoin::RejoinState;
 pub use store::{LogEntry, PageId, PagedObject, PartialWrite, WriteLog};

@@ -10,7 +10,7 @@ use crate::engine::rng::Rng64;
 use crate::engine::trace::TraceEvent;
 use crate::epoch::EpochCoordinator;
 use crate::locks::ReplicaLock;
-use crate::msg::{Action, ClientRequest, MsgClass, OpId};
+use crate::msg::{Action, ClientRequest, OpId};
 use crate::propagate::{IncomingProp, Propagator};
 use crate::read::ReadCoordinator;
 use crate::store::{PagedObject, WriteLog};
@@ -83,10 +83,10 @@ pub enum Timer {
         round: OpId,
     },
     /// Group-commit flush deadline. *Host-owned*: the engine never sets or
-    /// handles this timer — journaling hosts arm it (with a reserved
-    /// [`TimerId`]) when a delta starts waiting for companions and
-    /// intercept its expiry to flush. It lives in this enum only so hosts
-    /// can express it through the ordinary timer plumbing.
+    /// handles this timer — the simnet host adapter (`JournaledNode`) arms
+    /// it (with a reserved [`TimerId`]) when a delta starts waiting for
+    /// companions and intercepts its expiry to flush. It lives in this enum
+    /// only so hosts can express it through the ordinary timer plumbing.
     HostFlush,
 }
 
@@ -255,103 +255,6 @@ impl Clone for Volatile {
     }
 }
 
-/// Cumulative per-node counters. Not protocol state: kept across crashes so
-/// the harness reads totals for the whole run.
-///
-/// Since the observability refactor this is a thin facade over the unified
-/// [`MetricsRegistry`] — every counter lives in the registry under the key
-/// constants in [`crate::engine::metrics::keys`], and the named accessors
-/// below exist so call sites read like the fields they replaced.
-#[derive(Clone, Debug, Default)]
-pub struct NodeStats {
-    /// The unified per-node registry (counters + histograms).
-    pub registry: MetricsRegistry,
-}
-
-impl NodeStats {
-    /// Committed writes coordinated by this node.
-    pub fn writes_ok(&self) -> u64 {
-        self.registry.counter(keys::WRITES_OK)
-    }
-
-    /// Failed writes coordinated by this node (after retries).
-    pub fn writes_failed(&self) -> u64 {
-        self.registry.counter(keys::WRITES_FAILED)
-    }
-
-    /// Completed reads coordinated by this node.
-    pub fn reads_ok(&self) -> u64 {
-        self.registry.counter(keys::READS_OK)
-    }
-
-    /// Failed reads coordinated by this node.
-    pub fn reads_failed(&self) -> u64 {
-        self.registry.counter(keys::READS_FAILED)
-    }
-
-    /// Client-level retries due to contention.
-    pub fn retries(&self) -> u64 {
-        self.registry.counter(keys::RETRIES)
-    }
-
-    /// Times the heavy procedure ran.
-    pub fn heavy_runs(&self) -> u64 {
-        self.registry.counter(keys::HEAVY_RUNS)
-    }
-
-    /// Write rounds opened directly in the voting phase by a pipelined
-    /// lock handoff (each one overlapped its predecessor's decision).
-    pub fn chained_rounds(&self) -> u64 {
-        self.registry.counter(keys::CHAINED_ROUNDS)
-    }
-
-    /// Client writes that committed while sharing a round with at least
-    /// one other write (coordinator-side batching).
-    pub fn batched_writes(&self) -> u64 {
-        self.registry.counter(keys::BATCHED_WRITES)
-    }
-
-    /// Replicas written or marked per committed write (sum, for averaging).
-    pub fn replicas_touched_sum(&self) -> u64 {
-        self.registry.counter(keys::REPLICAS_TOUCHED_SUM)
-    }
-
-    /// Replicas marked stale (sum over committed writes).
-    pub fn marked_stale_sum(&self) -> u64 {
-        self.registry.counter(keys::MARKED_STALE_SUM)
-    }
-
-    /// Synchronous reconciliations (write-all-current baseline only).
-    pub fn sync_reconciliations(&self) -> u64 {
-        self.registry.counter(keys::SYNC_RECONCILIATIONS)
-    }
-
-    /// Propagations completed with this node as the source.
-    pub fn propagations_done(&self) -> u64 {
-        self.registry.counter(keys::PROPAGATIONS_DONE)
-    }
-
-    /// Epoch changes committed with this node as the coordinator.
-    pub fn epoch_changes(&self) -> u64 {
-        self.registry.counter(keys::EPOCH_CHANGES)
-    }
-
-    /// Messages received in `class`.
-    pub fn msgs_in(&self, class: MsgClass) -> u64 {
-        self.registry.counter(keys::msgs_in(class))
-    }
-
-    /// `CallFailed` bounces whose undeliverable message was in `class`.
-    pub fn msgs_bounced(&self, class: MsgClass) -> u64 {
-        self.registry.counter(keys::msgs_bounced(class))
-    }
-
-    /// Total messages received across classes.
-    pub fn msgs_in_total(&self) -> u64 {
-        MsgClass::ALL.iter().map(|&c| self.msgs_in(c)).sum()
-    }
-}
-
 /// A replica node running the dynamic structured coterie protocol.
 ///
 /// This is the sans-I/O engine: feed it [`Input`](crate::engine::Input)s
@@ -368,8 +271,10 @@ pub struct ReplicaNode {
     pub durable: Durable,
     /// Crash-wiped state.
     pub vol: Volatile,
-    /// Run-long counters (measurement only).
-    pub stats: NodeStats,
+    /// Run-long counters and histograms, keyed by [`keys`]. Measurement
+    /// only: not protocol state, and kept across crashes so readers see
+    /// totals for the whole run.
+    pub stats: MetricsRegistry,
     /// Engine-owned deterministic RNG (jitter): seeded from
     /// `config.seed ^ me`, advanced only by protocol draws.
     pub(crate) rng: Rng64,
@@ -403,7 +308,7 @@ impl ReplicaNode {
             shadow: durable.clone(),
             durable,
             vol: Volatile::default(),
-            stats: NodeStats::default(),
+            stats: MetricsRegistry::new(),
             timer_seq: 0,
             lamport: 0,
             trace_seq: 0,
@@ -427,7 +332,7 @@ impl ReplicaNode {
 
     /// Replaces the durable state wholesale — the recovery path for hosts
     /// that reconstruct it from stable storage
-    /// (see [`StableStorage::replay`](crate::engine::StableStorage::replay))
+    /// (see [`FramedJournal::replay`](crate::engine::FramedJournal::replay))
     /// instead of trusting the in-memory copy. Resets the persistence
     /// shadow so the next step diffs against the installed state.
     pub fn install_durable(&mut self, durable: Durable) {
@@ -492,7 +397,7 @@ impl ReplicaNode {
         attempt: u32,
     ) {
         if attempt > 0 {
-            self.stats.registry.inc(keys::RETRIES);
+            self.stats.inc(keys::RETRIES);
         }
         match request {
             ClientRequest::Read { id } => self.start_read(ctx, id, attempt),

@@ -79,7 +79,7 @@ impl ReplicaNode {
             .rule
             .pick_quorum(&view, view.set(), seed, QuorumKind::Read)
         else {
-            self.stats.registry.inc(keys::READS_FAILED);
+            self.stats.inc(keys::READS_FAILED);
             ctx.output(ProtocolEvent::Failed {
                 id: client_id,
                 reason: FailReason::NoQuorum,
@@ -248,7 +248,7 @@ impl ReplicaNode {
     }
 
     fn go_heavy_read(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        self.stats.registry.inc(keys::HEAVY_RUNS);
+        self.stats.inc(keys::HEAVY_RUNS);
         let all = NodeSet::from_iter(self.all_nodes());
         let Some(rc) = self.vol.reads.get_mut(&op) else {
             return;
@@ -358,7 +358,7 @@ impl ReplicaNode {
         for &n in rc.granted.keys() {
             ctx.send(n, Msg::Release { op });
         }
-        self.stats.registry.inc(keys::READS_OK);
+        self.stats.inc(keys::READS_OK);
         let digest = {
             let mut o = crate::store::PagedObject::new(pages.len());
             o.restore(pages.clone());
@@ -397,7 +397,7 @@ impl ReplicaNode {
             );
             return;
         }
-        self.stats.registry.inc(keys::READS_FAILED);
+        self.stats.inc(keys::READS_FAILED);
         ctx.output(ProtocolEvent::Failed {
             id: rc.client_id,
             reason,

@@ -181,7 +181,7 @@ impl ReplicaNode {
         };
         let Some(quorum) = quorum else {
             for entry in batch {
-                self.stats.registry.inc(keys::WRITES_FAILED);
+                self.stats.inc(keys::WRITES_FAILED);
                 ctx.output(ProtocolEvent::Failed {
                     id: entry.client_id,
                     reason: FailReason::NoQuorum,
@@ -351,7 +351,7 @@ impl ReplicaNode {
 
     /// `HeavyProcedure`: poll every replica not yet polled and re-evaluate.
     fn go_heavy_write(&mut self, ctx: &mut NodeCtx<'_>, op: OpId) {
-        self.stats.registry.inc(keys::HEAVY_RUNS);
+        self.stats.inc(keys::HEAVY_RUNS);
         let all = NodeSet::from_iter(self.all_nodes());
         let Some(wc) = self.vol.writes.get_mut(&op) else {
             return;
@@ -543,7 +543,7 @@ impl ReplicaNode {
         } else {
             c.good[0]
         };
-        self.stats.registry.inc(keys::SYNC_RECONCILIATIONS);
+        self.stats.inc(keys::SYNC_RECONCILIATIONS);
         ctx.output(ProtocolEvent::SyncReconciliation {
             targets: targets.len(),
         });
@@ -778,19 +778,15 @@ impl ReplicaNode {
             ctx.send(n, Msg::Release { op });
         }
         let touched = participants.len() + committed_optional.len();
-        self.stats
-            .registry
-            .add(keys::WRITES_OK, wc.batch.len() as u64);
+        self.stats.add(keys::WRITES_OK, wc.batch.len() as u64);
         if wc.batch.len() > 1 {
-            self.stats
-                .registry
-                .add(keys::BATCHED_WRITES, wc.batch.len() as u64);
+            self.stats.add(keys::BATCHED_WRITES, wc.batch.len() as u64);
         }
-        self.stats.registry.add(
+        self.stats.add(
             keys::REPLICAS_TOUCHED_SUM,
             (touched * wc.batch.len()) as u64,
         );
-        self.stats.registry.add(
+        self.stats.add(
             keys::MARKED_STALE_SUM,
             (stale.len() * wc.batch.len()) as u64,
         );
@@ -857,7 +853,7 @@ impl ReplicaNode {
         stale: Vec<NodeId>,
         chain_len: u32,
     ) {
-        self.stats.registry.inc(keys::CHAINED_ROUNDS);
+        self.stats.inc(keys::CHAINED_ROUNDS);
         let new_version = base_version + batch.len() as u64;
         let stale_set = NodeSet::from_iter(stale.iter().copied());
         let good_required: Vec<NodeId> = participants
@@ -1013,7 +1009,7 @@ impl ReplicaNode {
                         ..entry
                     });
                 } else {
-                    self.stats.registry.inc(keys::WRITES_FAILED);
+                    self.stats.inc(keys::WRITES_FAILED);
                     ctx.output(ProtocolEvent::Failed {
                         id: entry.client_id,
                         reason,
@@ -1043,7 +1039,7 @@ impl ReplicaNode {
                     },
                 );
             } else {
-                self.stats.registry.inc(keys::WRITES_FAILED);
+                self.stats.inc(keys::WRITES_FAILED);
                 ctx.output(ProtocolEvent::Failed {
                     id: entry.client_id,
                     reason,

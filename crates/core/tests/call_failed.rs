@@ -17,7 +17,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use coterie_base::SimDuration;
 use coterie_core::{
-    ClientRequest, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver, Timer,
+    keys, ClientRequest, MsgClass, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver, Timer,
 };
 use coterie_quorum::{MajorityCoterie, NodeId};
 
@@ -93,7 +93,11 @@ fn bounced_propagation_offer_retries_until_target_recovers() {
 
     // Crash the stale target: the next PropOffer (or PropData) bounces.
     driver.crash(target);
-    let bounced = |d: &StepDriver, n: NodeId| d.node(n).stats.msgs_bounced(MsgClass::Propagation);
+    let bounced = |d: &StepDriver, n: NodeId| {
+        d.node(n)
+            .stats
+            .counter(keys::msgs_bounced(MsgClass::Propagation))
+    };
     run_until(&mut driver, 500, |d| {
         (0..3).any(|n| bounced(d, NodeId(n)) >= 1)
     });
@@ -168,7 +172,9 @@ fn bounced_election_challenges_let_the_caller_win_by_timeout() {
     }
     let node0 = driver.node(NodeId(0));
     assert_eq!(
-        node0.stats.msgs_bounced(MsgClass::EpochCheck),
+        node0
+            .stats
+            .counter(keys::msgs_bounced(MsgClass::EpochCheck)),
         2,
         "both bounced challenges must be counted"
     );

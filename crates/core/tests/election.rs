@@ -3,12 +3,12 @@
 //! and a recovering higher node reclaims the role.
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::{GridCoterie, NodeId};
 use coterie_simnet::{Sim, SimConfig, SimDuration};
 use std::sync::Arc;
 
-fn bully_cluster(n: usize, seed: u64) -> Sim<ReplicaNode> {
+fn bully_cluster(n: usize, seed: u64) -> Sim<JournaledNode> {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2))
         .bully_election();
@@ -18,11 +18,11 @@ fn bully_cluster(n: usize, seed: u64) -> Sim<ReplicaNode> {
             seed,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     )
 }
 
-fn leader_of(sim: &Sim<ReplicaNode>, id: u32) -> Option<NodeId> {
+fn leader_of(sim: &Sim<JournaledNode>, id: u32) -> Option<NodeId> {
     sim.node(NodeId(id)).vol.election.leader
 }
 

@@ -11,16 +11,19 @@
 //!    buffered (never-acknowledged) suffix. The recovered replica equals
 //!    the committed journal prefix as it stood before the crash — no
 //!    flushed delta is lost, no unflushed delta resurrects.
+//!
+//! Both hosts run the same node shell, so flush accounting must agree
+//! between them too (the last test).
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use coterie_core::{
-    ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, LogEntry, OpId, PartialWrite,
-    ProtocolConfig, ProtocolEvent, Rng64, StepDriver,
+    keys, ClientRequest, Durable, DurableDelta, FaultKind, FramedJournal, JournaledNode, LogEntry,
+    MetricsRegistry, OpId, PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
-use coterie_simnet::SimDuration;
+use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
 use proptest::prelude::*;
 
 const N_PAGES: usize = 4;
@@ -283,13 +286,86 @@ fn write_burst_batches_and_chains_rounds() {
     assert_eq!(oks, 8, "all writes must commit");
     let stats = &driver.node(NodeId(0)).stats;
     assert!(
-        stats.batched_writes() >= 2,
+        stats.counter(keys::BATCHED_WRITES) >= 2,
         "expected shared rounds, got batched_writes = {}",
-        stats.batched_writes()
+        stats.counter(keys::BATCHED_WRITES)
     );
     assert!(
-        stats.chained_rounds() >= 1,
+        stats.counter(keys::CHAINED_ROUNDS) >= 1,
         "expected a pipelined handoff, got chained_rounds = {}",
-        stats.chained_rounds()
+        stats.counter(keys::CHAINED_ROUNDS)
     );
+}
+
+/// Flush accounting is the same on every host: a write-through append is
+/// one header commit and counts as one flush, a group-commit batch counts
+/// as one flush, and the cluster's `journal_flushes` metric is the sum of
+/// the per-node counters. Checked in both modes on `StepDriver` and on the
+/// simulator host.
+#[test]
+fn flush_counters_agree_across_hosts() {
+    const N: u32 = 3;
+    let write = |id: u64| ClientRequest::Write {
+        id,
+        write: PartialWrite::new([((id % N_PAGES as u64) as u16, Bytes::from(vec![id as u8]))]),
+    };
+    for group in [1, 8] {
+        let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), N as usize)
+            .pages(N_PAGES)
+            .write_batch(4)
+            .group_commit(group, SimDuration::from_millis(2))
+            .rng_seed(11);
+
+        let mut driver = StepDriver::new(N as usize, config.clone());
+        for id in 1..=12 {
+            driver.inject(NodeId(id as u32 % N), write(id));
+        }
+        driver.run_for(SimDuration::from_secs(5));
+        let mut sim = Sim::new(N as usize, SimConfig::default(), |id| {
+            JournaledNode::new(id, config.clone())
+        });
+        for id in 1..=12 {
+            let at = SimTime::ZERO + SimDuration::from_millis(id);
+            sim.schedule_external(at, NodeId(id as u32 % N), write(id));
+        }
+        sim.run_for(SimDuration::from_secs(5));
+
+        let hosts = [
+            (
+                "StepDriver",
+                driver.metrics(),
+                (0..N)
+                    .map(|i| (driver.flushes(NodeId(i)), driver.journal(NodeId(i))))
+                    .collect::<Vec<_>>(),
+            ),
+            (
+                "Sim<JournaledNode>",
+                (0..N).fold(MetricsRegistry::new(), |mut m, i| {
+                    m.merge(&sim.node(NodeId(i)).metrics());
+                    m
+                }),
+                (0..N)
+                    .map(|i| (sim.node(NodeId(i)).flushes, &sim.node(NodeId(i)).journal))
+                    .collect(),
+            ),
+        ];
+        for (host, metrics, nodes) in hosts {
+            let total: u64 = nodes.iter().map(|(flushes, _)| flushes).sum();
+            assert!(total > 0, "{host}, batch {group}: nothing flushed");
+            assert_eq!(
+                metrics.counter(keys::JOURNAL_FLUSHES),
+                total,
+                "{host}, batch {group}: metric disagrees with the node counters"
+            );
+            if group == 1 {
+                for (i, (flushes, journal)) in nodes.iter().enumerate() {
+                    assert_eq!(
+                        *flushes,
+                        journal.committed_records(),
+                        "{host}, node {i}: each write-through append is one flush"
+                    );
+                }
+            }
+        }
+    }
 }

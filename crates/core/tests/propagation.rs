@@ -3,12 +3,12 @@
 //! three-way offer handshake, and the locking-mode ablation.
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::{GridCoterie, NodeId};
 use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
 
-fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<ReplicaNode> {
+fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<JournaledNode> {
     let n = config.n_replicas;
     let mut sim = Sim::new(
         n,
@@ -16,7 +16,7 @@ fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<Replic
             seed,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     );
     for i in 0..writes {
         sim.schedule_external(
@@ -36,7 +36,7 @@ fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<Replic
 /// (replicas that were never marked may legitimately sit behind), at least
 /// a write quorum's worth of replicas hold the newest version, and all the
 /// newest-version holders agree on content.
-fn assert_propagation_converged(sim: &Sim<ReplicaNode>, n: usize, version: u64) {
+fn assert_propagation_converged(sim: &Sim<JournaledNode>, n: usize, version: u64) {
     let versions: Vec<u64> = (0..n as u32)
         .map(|i| sim.node(NodeId(i)).durable.version)
         .collect();
@@ -96,7 +96,7 @@ fn propagation_source_crash_does_not_leave_target_stuck() {
             seed: 4,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     );
     // A few writes to create stale marks and kick off propagation.
     for i in 0..6u64 {
@@ -158,7 +158,7 @@ fn stale_replica_never_serves_reads() {
             let mut cfg = config.clone();
             cfg.propagation_retry = SimDuration::from_secs(600);
             cfg.propagation_jitter = SimDuration::from_secs(600);
-            ReplicaNode::new(id, cfg)
+            JournaledNode::new(id, cfg)
         },
     );
     for i in 0..8u64 {

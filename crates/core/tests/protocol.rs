@@ -4,13 +4,13 @@
 
 use bytes::Bytes;
 use coterie_core::{
-    ClientRequest, FailReason, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, FailReason, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId, RowaCoterie};
 use coterie_simnet::{Partition, Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
 
-type Cluster = Sim<ReplicaNode>;
+type Cluster = Sim<JournaledNode>;
 
 fn grid_cluster(n: usize, seed: u64) -> Cluster {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
@@ -21,7 +21,7 @@ fn grid_cluster(n: usize, seed: u64) -> Cluster {
             seed,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     )
 }
 
@@ -34,7 +34,7 @@ fn majority_cluster(n: usize, seed: u64) -> Cluster {
             seed,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     )
 }
 
@@ -249,7 +249,7 @@ fn static_mode_blocks_when_a_column_dies() {
             seed: 6,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     );
     for &v in &[1u32, 4, 7] {
         sim.crash_now(NodeId(v));
@@ -354,7 +354,7 @@ fn rowa_reads_are_one_node_and_writes_touch_all() {
             seed: 10,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     );
     sim.schedule_external(SimTime::ZERO, NodeId(1), write_req(0, 0, "w"));
     sim.run_for(SimDuration::from_secs(1));

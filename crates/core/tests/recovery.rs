@@ -5,12 +5,14 @@
 //! fencing of in-doubt transactions.
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, Mode, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{
+    keys, ClientRequest, JournaledNode, Mode, PartialWrite, ProtocolConfig, ProtocolEvent,
+};
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
 use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
 
-fn cluster(n: usize, seed: u64, check_secs: u64) -> Sim<ReplicaNode> {
+fn cluster(n: usize, seed: u64, check_secs: u64) -> Sim<JournaledNode> {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), n)
         .check_period(SimDuration::from_secs(check_secs));
     Sim::new(
@@ -19,7 +21,7 @@ fn cluster(n: usize, seed: u64, check_secs: u64) -> Sim<ReplicaNode> {
             seed,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     )
 }
 
@@ -136,13 +138,13 @@ fn static_mode_never_runs_epoch_checks() {
             seed: 4,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     );
     sim.crash_now(NodeId(3));
     sim.run_for(SimDuration::from_secs(30));
     for id in 0..3u32 {
         assert_eq!(sim.node(NodeId(id)).durable.enumber, 0);
-        assert_eq!(sim.node(NodeId(id)).stats.epoch_changes(), 0);
+        assert_eq!(sim.node(NodeId(id)).stats.counter(keys::EPOCH_CHANGES), 0);
     }
 }
 
@@ -160,7 +162,7 @@ fn safety_threshold_extras_receive_the_update() {
             seed: 5,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, config.clone()),
+        |id| JournaledNode::new(id, config.clone()),
     );
     for i in 0..15u64 {
         sim.schedule_external(

@@ -1,4 +1,4 @@
-//! The same `ReplicaNode` program that runs on the deterministic simulator
+//! The same `JournaledNode` program that runs on the deterministic simulator
 //! also runs on real OS threads (crossbeam channels, wall-clock timers):
 //! the protocol implementation is substrate-independent.
 
@@ -6,18 +6,18 @@
 #![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::{GridCoterie, NodeId};
 use coterie_simnet::{SimDuration, ThreadedRuntime};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn spawn_cluster(n: usize) -> ThreadedRuntime<ReplicaNode> {
+fn spawn_cluster(n: usize) -> ThreadedRuntime<JournaledNode> {
     // Epoch checks every 500 ms of *wall clock*; timeouts as configured.
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_millis(500));
     ThreadedRuntime::spawn(n, 42, Duration::from_millis(20), move |id| {
-        ReplicaNode::new(id, config.clone())
+        JournaledNode::new(id, config.clone())
     })
 }
 

@@ -1,6 +1,8 @@
-//! The full-protocol scenario runner: builds a replica cluster on the
-//! discrete-event simulator, injects a workload and a fault plan, collects
-//! the outputs, runs the consistency checker, and aggregates metrics.
+//! The full-protocol scenario runner: builds a cluster of journaling
+//! replicas ([`JournaledNode`]) on the discrete-event simulator, injects a
+//! workload and a fault plan, collects the outputs, runs the consistency
+//! checker, and aggregates metrics. Every crash is recovered by replaying
+//! the node's journal.
 
 // Tool-side aggregation; hash maps never feed engine effects.
 #![allow(clippy::disallowed_types)]
@@ -9,7 +11,7 @@ use crate::checker::{check_run, CheckReport};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::{LatencyStats, LoadStats};
 use crate::workload::Workload;
-use coterie_core::{MsgClass, ProtocolConfig, ProtocolEvent, ReplicaNode};
+use coterie_core::{keys, JournaledNode, MsgClass, ProtocolConfig, ProtocolEvent};
 use coterie_quorum::NodeId;
 use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
 use serde::Serialize;
@@ -103,8 +105,8 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     // the sans-I/O engine's own RNG, so distinct scenario seeds must reach
     // it for runs to decorrelate.
     let protocol = scenario.protocol.clone().rng_seed(scenario.sim.seed);
-    let mut sim: Sim<ReplicaNode> = Sim::new(n, scenario.sim.clone(), |id| {
-        ReplicaNode::new(id, protocol.clone())
+    let mut sim: Sim<JournaledNode> = Sim::new(n, scenario.sim.clone(), |id| {
+        JournaledNode::new(id, protocol.clone())
     });
 
     // Schedule the workload.
@@ -119,9 +121,9 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
             FaultEvent::Crash(node) => sim.schedule_crash(*at, *node),
             FaultEvent::Recover(node) => sim.schedule_recover(*at, *node),
             FaultEvent::Partition(p) => sim.schedule_partition(*at, p.clone()),
-            // Storage faults need a journaling host; the simnet scenario
-            // runs bare engines, so only the StepDriver-based nemesis
-            // harness honors these events.
+            // Ignored here: the scenario tables are defined without
+            // storage faults. The StepDriver-based nemesis harness honors
+            // these events.
             FaultEvent::StorageFault { .. } => {}
         }
         last_event = last_event.max(*at);
@@ -152,17 +154,18 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     }
     for id in 0..n as u32 {
         let stats = &sim.node(NodeId(id)).stats;
-        result.writes_ok += stats.writes_ok();
-        result.writes_failed += stats.writes_failed();
-        result.reads_ok += stats.reads_ok();
-        result.reads_failed += stats.reads_failed();
-        result.retries += stats.retries();
-        result.heavy_runs += stats.heavy_runs();
-        result.epoch_changes += stats.epoch_changes();
-        result.propagations += stats.propagations_done();
-        result.sync_reconciliations += stats.sync_reconciliations();
+        let writes_ok = stats.counter(keys::WRITES_OK);
+        result.writes_ok += writes_ok;
+        result.writes_failed += stats.counter(keys::WRITES_FAILED);
+        result.reads_ok += stats.counter(keys::READS_OK);
+        result.reads_failed += stats.counter(keys::READS_FAILED);
+        result.retries += stats.counter(keys::RETRIES);
+        result.heavy_runs += stats.counter(keys::HEAVY_RUNS);
+        result.epoch_changes += stats.counter(keys::EPOCH_CHANGES);
+        result.propagations += stats.counter(keys::PROPAGATIONS_DONE);
+        result.sync_reconciliations += stats.counter(keys::SYNC_RECONCILIATIONS);
         for class in MsgClass::ALL {
-            let count = stats.msgs_in(class);
+            let count = stats.counter(keys::msgs_in(class));
             if count > 0 {
                 *result
                     .msgs_by_class
@@ -170,9 +173,9 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
                     .or_insert(0) += count;
             }
         }
-        if stats.writes_ok() > 0 {
-            result.replicas_touched_avg += stats.replicas_touched_sum() as f64;
-            result.marked_stale_avg += stats.marked_stale_sum() as f64;
+        if writes_ok > 0 {
+            result.replicas_touched_avg += stats.counter(keys::REPLICAS_TOUCHED_SUM) as f64;
+            result.marked_stale_avg += stats.counter(keys::MARKED_STALE_SUM) as f64;
         }
     }
     if result.writes_ok > 0 {

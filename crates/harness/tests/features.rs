@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver};
+use coterie_core::{keys, ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_harness::explore::{explore, ExplorerConfig};
 use coterie_harness::nemesis::{soak, NemesisConfig};
 use coterie_harness::workload::IssuedOp;
@@ -78,14 +78,14 @@ fn pipelined_grid_schedule_chains_rounds() {
     assert_eq!(oks, 4, "all four writes must commit");
     let stats = &driver.node(NodeId(0)).stats;
     assert!(
-        stats.chained_rounds() >= 1,
+        stats.counter(keys::CHAINED_ROUNDS) >= 1,
         "expected a pipelined lock handoff, got chained_rounds = {}",
-        stats.chained_rounds()
+        stats.counter(keys::CHAINED_ROUNDS)
     );
     assert!(
-        stats.batched_writes() >= 2,
+        stats.counter(keys::BATCHED_WRITES) >= 2,
         "expected writes to share a round, got batched_writes = {}",
-        stats.batched_writes()
+        stats.counter(keys::BATCHED_WRITES)
     );
     drop(issued);
 }

@@ -59,9 +59,10 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "surface",
         "P1 — the protocol surface must be total: every Input/Effect/Msg/\n\
          MsgClass/Timer variant constructed somewhere, dispatched on\n\
-         somewhere, and consumed by every designated host file. A wildcard\n\
-         `_` arm over a protocol enum silently swallows variants added\n\
-         later — exactly the bug class that breaks one host out of three.\n\n\
+         somewhere, and consumed by every designated consumer file (for\n\
+         Effect: the node shell every host goes through). A wildcard `_`\n\
+         arm over a protocol enum silently swallows variants added later —\n\
+         exactly the bug class that breaks one host out of three.\n\n\
          finding:  match effect { Effect::Send { .. } => ..., _ => {} }\n\
          fix:      enumerate the remaining variants explicitly:\n\
                    Effect::SetTimer { .. } | Effect::CancelTimer(_) | ... => {}",

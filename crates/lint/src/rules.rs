@@ -373,8 +373,8 @@ pub fn analyze_file(file: &str, src: &str, spec: RoleSpec) -> FileAnalysis {
         }
         if spec.surface {
             // The surface pass uses its own mask: test code is skipped, but
-            // `simnet-host`-gated code stays live — the threaded host
-            // adapter is exactly the effect consumer being policed.
+            // `simnet-host`-gated code stays live — the host adapter's
+            // matches over tracked enums count toward the matrix.
             let live = skip_mask(toks, false);
             let (fs, wraw) = crate::surface::extract(file, toks, &live, &parsed);
             analysis.surface = fs;

@@ -32,9 +32,10 @@ pub fn role_for(rel: &str) -> RoleSpec {
         return RoleSpec::NONE;
     }
     if HOST_BOUNDARY.contains(&rel) {
-        // The host adapter performs effects for the engine: exempt from
-        // determinism and effect rules, still accountable for panics, and
-        // a designated Effect consumer for the surface matrix.
+        // The host adapter binds node shells to real clocks and files:
+        // exempt from determinism and effect rules, still accountable for
+        // panics, and its matches over tracked enums feed the surface
+        // matrix.
         return RoleSpec {
             panic: true,
             surface: true,
@@ -86,9 +87,9 @@ pub fn role_for(rel: &str) -> RoleSpec {
     }
     if rel.starts_with("crates/simnet/src/") {
         // Host crate: owns clocks, threads, and sockets-if-it-wants-them;
-        // panics in the substrate still take down experiments. Its effect
-        // consumption is delegated to coterie-core's host.rs / driver.rs,
-        // which the surface matrix polices directly.
+        // panics in the substrate still take down experiments. It receives
+        // effects only through coterie-core's node shell
+        // (engine/shell.rs), which the surface matrix polices directly.
         return RoleSpec {
             panic: true,
             ..RoleSpec::NONE

@@ -74,13 +74,14 @@ struct Tracked {
 /// (engine/io.rs), `Msg`/`MsgClass` the wire vocabulary (msg.rs), `Timer`
 /// the scheduled-work vocabulary (node.rs), `TraceEvent` the observability
 /// vocabulary (engine/trace.rs). Consumers: the engine step dispatcher
-/// must handle every input, message, and timer; both effect hosts inside
-/// coterie-core (`StepDriver` and the threaded adapter) must consume
-/// every effect; `msg.rs` must classify every message; `TraceEvent::kind`
-/// in trace.rs must tag every trace event (so adding a variant without a
+/// must handle every input, message, and timer; the node shell
+/// (engine/shell.rs) is the one place effects are consumed — every host
+/// (`StepDriver`, and `JournaledNode` on the simulator and the threaded
+/// runtime) receives effects only through it, so it must handle every
+/// effect; `msg.rs` must classify every message; `TraceEvent::kind` in
+/// trace.rs must tag every trace event (so adding a variant without a
 /// rendering is a finding, and a variant no live protocol code emits is
-/// dead). The simnet hosts drive these same consumer files, so they are
-/// covered transitively.
+/// dead).
 const REGISTRY: &[Tracked] = &[
     Tracked {
         name: "Input",
@@ -92,10 +93,7 @@ const REGISTRY: &[Tracked] = &[
         name: "Effect",
         def_file: "crates/core/src/engine/io.rs",
         require_match: true,
-        consumers: &[
-            "crates/core/src/engine/driver.rs",
-            "crates/core/src/host.rs",
-        ],
+        consumers: &["crates/core/src/engine/shell.rs"],
     },
     Tracked {
         name: "Msg",
@@ -132,8 +130,8 @@ pub(crate) type Raw = (String, String, u32, u32);
 
 /// Extracts the file's surface data and reports wildcard arms in tracked
 /// matches. `live` masks out test-gated tokens (but — unlike the rules
-/// mask — keeps `simnet-host`-gated code live: the threaded host adapter
-/// is exactly the consumer this pass polices).
+/// mask — keeps `simnet-host`-gated code live: the host adapter's matches
+/// over tracked enums count toward the matrix).
 pub(crate) fn extract(
     rel: &str,
     toks: &[Token],

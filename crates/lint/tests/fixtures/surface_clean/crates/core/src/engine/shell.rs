@@ -1,4 +1,4 @@
-// Mini-tree fixture: consumer whose match misses the `Ghost` variant.
+// Mini-tree fixture: the exhaustive `Effect` consumer (the node shell).
 pub fn emit(to: NodeId, msg: Msg, delta: Box<DurableDelta>) -> Vec<Effect> {
     vec![Effect::Send { to, msg }, Effect::Persist(delta)]
 }

@@ -2,10 +2,12 @@
 //!
 //! `tests/fixtures/surface_bad/` plants one defect of each matrix kind
 //! around two tracked enums — `Effect` with an extra `Ghost` variant (a
-//! dead variant, a never-matched variant, a consumer missing an arm, and
-//! a consumer with no match at all) and `TraceEvent` with an extra
+//! dead variant, a never-matched variant, and a designated consumer, the
+//! node shell, with no match at all) and `TraceEvent` with an extra
 //! `Phantom` variant (dead, never matched, and missing from its own
-//! `kind` match — trace.rs is its own designated consumer).
+//! `kind` match — trace.rs is its own designated consumer, so this is the
+//! consumer-missing-an-arm case). Its `host.rs` matches `Effect` without
+//! `Ghost` but is not a designated consumer, so that is not a finding.
 //! `surface_clean/` is the same tree with the defects removed. The
 //! registry degrades gracefully on these partial workspaces (absent enums
 //! are skipped), so only `Effect` and `TraceEvent` rules fire.
@@ -28,19 +30,17 @@ fn surface_matrix_reports_exact_positions() {
         .map(|f| format!("{}:{}:{}:{}", f.rule, f.file, f.line, f.col))
         .collect();
     let want = vec![
-        // Consumer match misses `Ghost`: anchored at its first Effect match.
-        "surface:crates/core/src/engine/driver.rs:7:5".to_string(),
         // `Ghost` is never constructed and never pattern-matched: both
         // anchored at the variant's definition.
         "surface:crates/core/src/engine/io.rs:6:5".to_string(),
         "surface:crates/core/src/engine/io.rs:6:5".to_string(),
+        // Designated consumer with no match over `Effect` at all.
+        "surface:crates/core/src/engine/shell.rs:1:1".to_string(),
         // `Phantom` is dead and never matched (anchored at its def), and
         // trace.rs's own `kind` match misses it (anchored at the match).
         "surface:crates/core/src/engine/trace.rs:6:5".to_string(),
         "surface:crates/core/src/engine/trace.rs:6:5".to_string(),
         "surface:crates/core/src/engine/trace.rs:15:9".to_string(),
-        // Designated consumer with no match over `Effect` at all.
-        "surface:crates/core/src/host.rs:1:1".to_string(),
     ];
     assert_eq!(got, want, "findings: {:#?}", outcome.findings);
 }

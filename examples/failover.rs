@@ -10,13 +10,13 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
 use dyncoterie::simnet::{Partition, Sim, SimConfig, SimDuration, SimTime};
 use std::sync::Arc;
 
-fn write(sim: &mut Sim<ReplicaNode>, id: u64, node: u32) -> bool {
+fn write(sim: &mut Sim<JournaledNode>, id: u64, node: u32) -> bool {
     let at = sim.now();
     sim.schedule_external(
         at,
@@ -37,7 +37,7 @@ fn main() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
     let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        ReplicaNode::new(id, config.clone())
+        JournaledNode::new(id, config.clone())
     });
     sim.schedule_external(
         SimTime::ZERO,

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
 use dyncoterie::simnet::{Sim, SimConfig, SimDuration, SimTime};
@@ -20,7 +20,7 @@ fn main() {
     let n = 9;
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n).pages(8);
     let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        ReplicaNode::new(id, config.clone())
+        JournaledNode::new(id, config.clone())
     });
 
     // Twelve partial writes from rotating coordinators, each touching a

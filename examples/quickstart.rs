@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
 use dyncoterie::simnet::{Sim, SimConfig, SimDuration, SimTime};
@@ -21,7 +21,7 @@ fn main() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
     let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        ReplicaNode::new(id, config.clone())
+        JournaledNode::new(id, config.clone())
     });
 
     // 2. A client at node 0 writes page 0.

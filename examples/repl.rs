@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
 use dyncoterie::simnet::{SimDuration, ThreadedRuntime};
@@ -32,7 +32,7 @@ fn main() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), N)
         .check_period(SimDuration::from_millis(500));
     let rt = ThreadedRuntime::spawn(N, 0xC11, Duration::from_millis(20), move |id| {
-        ReplicaNode::new(id, config.clone())
+        JournaledNode::new(id, config.clone())
     });
     println!(
         "dyncoterie repl: {N} replicas (dynamic grid) on {N} threads.\n\
@@ -115,7 +115,7 @@ fn main() {
     }
 }
 
-fn wait_for(rt: &ThreadedRuntime<ReplicaNode>, want: u64) {
+fn wait_for(rt: &ThreadedRuntime<JournaledNode>, want: u64) {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while std::time::Instant::now() < deadline {
         let Some((node, ev)) = rt.recv_output(Duration::from_millis(100)) else {

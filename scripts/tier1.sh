@@ -20,6 +20,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> perfbench tests (the repository benchmark builds and self-checks)"
+# perfbench/ is its own cargo workspace over the crates by path, so the
+# workspace build above does not compile it; its tests include the
+# traced-replay equivalence check against StepDriver.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo bench --no-run"
 cargo bench --no-run --workspace
 

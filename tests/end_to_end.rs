@@ -10,7 +10,7 @@ use dyncoterie::harness::{
     check_run, run_scenario, FaultConfig, FaultPlan, Scenario, Workload, WorkloadConfig,
 };
 use dyncoterie::protocol::{
-    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, ReplicaNode,
+    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
 };
 use dyncoterie::quorum::{GridCoterie, MajorityCoterie, NodeId, TreeCoterie, View};
 use dyncoterie::simnet::{NodeStatus, Partition, Sim, SimConfig, SimDuration, SimTime};
@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// Epoch safety: nodes sharing an epoch number must share the epoch list,
 /// and every node is a member of its own epoch list (§4.4's preliminary
 /// note, which the correctness proof relies on).
-fn assert_epoch_safety(sim: &Sim<ReplicaNode>) {
+fn assert_epoch_safety(sim: &Sim<JournaledNode>) {
     let n = sim.len();
     for a in 0..n as u32 {
         let node_a = sim.node(NodeId(a));
@@ -46,7 +46,7 @@ fn assert_epoch_safety(sim: &Sim<ReplicaNode>) {
 /// maximum `e` may have a write quorum over its epoch list among them.
 /// (Node up/down status is irrelevant to the lemma — it is a statement
 /// about the recorded states.)
-fn assert_unique_live_epoch(sim: &Sim<ReplicaNode>) {
+fn assert_unique_live_epoch(sim: &Sim<JournaledNode>) {
     let rule = GridCoterie::new();
     let n = sim.len();
     let mut by_epoch: std::collections::BTreeMap<u64, (Vec<NodeId>, Vec<NodeId>)> =
@@ -129,7 +129,7 @@ fn epoch_safety_holds_under_churn() {
             seed: 77,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, protocol.clone()),
+        |id| JournaledNode::new(id, protocol.clone()),
     );
     let faults = FaultPlan::generate(
         &FaultConfig {
@@ -146,8 +146,8 @@ fn epoch_safety_holds_under_churn() {
             dyncoterie::harness::FaultEvent::Crash(node) => sim.schedule_crash(*at, *node),
             dyncoterie::harness::FaultEvent::Recover(node) => sim.schedule_recover(*at, *node),
             dyncoterie::harness::FaultEvent::Partition(p) => sim.schedule_partition(*at, p.clone()),
-            // Storage faults target journaling hosts; this simnet test
-            // runs bare engines (mirrors scenario.rs).
+            // Storage faults stay ignored on the simulator (mirrors
+            // scenario.rs); the StepDriver nemesis harness injects them.
             dyncoterie::harness::FaultEvent::StorageFault { .. } => {}
         }
     }
@@ -203,7 +203,7 @@ fn partition_heal_with_dueling_epoch_coordinators() {
             seed: 1234,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, protocol.clone()),
+        |id| JournaledNode::new(id, protocol.clone()),
     );
     // Partition {3,4} away, let the majority shrink its epoch.
     sim.schedule_partition(
@@ -255,7 +255,7 @@ fn tree_coterie_runs_the_full_protocol() {
             seed: 5,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, protocol.clone()),
+        |id| JournaledNode::new(id, protocol.clone()),
     );
     for i in 0..10u64 {
         // Coordinators rotate over the nodes that stay up (node 8 dies).
@@ -312,7 +312,7 @@ fn analytic_availability_predicts_protocol_behaviour() {
             seed: 31,
             ..Default::default()
         },
-        |id| ReplicaNode::new(id, protocol.clone()),
+        |id| JournaledNode::new(id, protocol.clone()),
     );
     for victim in [8u32, 7, 6, 5, 4, 3] {
         sim.crash_now(NodeId(victim));
