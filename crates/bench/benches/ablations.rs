@@ -57,7 +57,7 @@ fn bench_check_period(c: &mut Criterion) {
                 let mut sim = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
                     c.check_period(SimDuration::from_millis(millis))
                 });
-                sim.crash_now(coterie_quorum::NodeId(7));
+                sim.crash(coterie_quorum::NodeId(7));
                 black_box(drive_ops(&mut sim, 60, SimDuration::from_millis(20)))
             })
         });

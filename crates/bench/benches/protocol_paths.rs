@@ -39,7 +39,7 @@ fn bench_epoch_change(c: &mut Criterion) {
             let mut sim = cluster(Arc::new(GridCoterie::new()), 9, seed, |c| {
                 c.check_period(SimDuration::from_millis(500))
             });
-            sim.crash_now(coterie_quorum::NodeId(8));
+            sim.crash(coterie_quorum::NodeId(8));
             sim.run_for(SimDuration::from_secs(3));
             black_box(sim.node(coterie_quorum::NodeId(0)).durable.elist.len())
         })

@@ -19,9 +19,9 @@
 
 pub mod load;
 
-use coterie_core::{ClientRequest, JournaledNode, PartialWrite, ProtocolConfig};
+use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, StepDriver};
 use coterie_quorum::{CoterieRule, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Builds an N-node cluster with the given rule for protocol benches.
@@ -30,22 +30,14 @@ pub fn cluster(
     n: usize,
     seed: u64,
     configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-) -> Sim<JournaledNode> {
-    let config = configure(ProtocolConfig::new(rule, n));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    )
+) -> StepDriver {
+    StepDriver::lan(n, configure(ProtocolConfig::new(rule, n)).rng_seed(seed))
 }
 
 /// Drives `ops` alternating writes and reads through the cluster and runs
 /// to completion; returns committed-op count (for throughput assertions).
-pub fn drive_ops(sim: &mut Sim<JournaledNode>, ops: u64, gap: SimDuration) -> u64 {
-    let n = sim.len() as u32;
+pub fn drive_ops(sim: &mut StepDriver, ops: u64, gap: SimDuration) -> u64 {
+    let n = sim.cluster_size() as u32;
     for i in 0..ops {
         let at = SimTime(i * gap.micros());
         let node = NodeId((i % n as u64) as u32);

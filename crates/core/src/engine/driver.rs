@@ -11,12 +11,31 @@
 //! bit-flipped appends) can be injected at the journal boundary
 //! deterministically through each shell's failpoints.
 //!
+//! The network model is an input of the run, fixed at construction:
+//!
+//! * **Zero latency** ([`StepDriver::new`]): the caller decides which
+//!   pending event happens next ([`perform`](StepDriver::perform)), or
+//!   [`run_for`](StepDriver::run_for) runs a fixed schedule in which every
+//!   message arrives at once. The explorer, the nemesis soak and the
+//!   benchmark run here.
+//! * **LAN** ([`StepDriver::lan`]): a timed schedule over the same pools.
+//!   Each message is delivered 500–2000 µs after its send (10 µs to
+//!   itself), with latencies drawn from a SplitMix64 seeded from
+//!   [`ProtocolConfig::seed`]; reachability is checked at delivery, and an
+//!   undeliverable message reaches its sender as `CallFailed` 20 ms later.
+//!   Client requests, crashes, recoveries, partition changes and storage
+//!   faults are scheduled at absolute times (`schedule_*`); a request at a
+//!   down node is dropped. A LAN driver advances only through
+//!   [`run_until`](StepDriver::run_until) and `run_for`.
+//!
 //! Flush policy: a shell commits a group-commit batch by itself only at the
-//! batch cap. The driver's caller decides when else to flush
-//! ([`flush_group_commit`](StepDriver::flush_group_commit)); the fixed
-//! [`run_for`](StepDriver::run_for) schedule flushes whenever the message
-//! pool drains.
+//! batch cap. On a zero-latency driver the caller decides when else to
+//! flush ([`flush_group_commit`](StepDriver::flush_group_commit)); the
+//! fixed `run_for` schedule flushes whenever the message pool drains. On
+//! the LAN a buffered batch flushes at its `group_commit_max_delay`
+//! deadline, as a real host's flush timer would.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use coterie_base::{SimDuration, SimTime, TimerId};
@@ -29,6 +48,7 @@ use crate::node::{Durable, ReplicaNode, Timer};
 use super::failpoint::{sites, FaultKind, FiredFault};
 use super::io::Input;
 use super::metrics::MetricsRegistry;
+use super::rng::Rng64;
 use super::shell::{NodeShell, Outbox};
 use super::storage::{FramedJournal, FramedReplay};
 use super::trace::{TraceRecord, TraceRing};
@@ -128,6 +148,113 @@ pub struct StepDriver {
     /// Partition island id per node; nodes in different islands cannot
     /// exchange messages (deliveries bounce as `CallFailed`).
     partition: Vec<u8>,
+    /// The LAN schedule's state; `None` on a zero-latency driver.
+    lan: Option<Box<Lan>>,
+}
+
+/// One-way LAN latency bounds in microseconds (uniform, inclusive).
+const LAN_LATENCY_US: (u64, u64) = (500, 2_000);
+/// LAN loopback latency.
+const LAN_SELF_LATENCY: SimDuration = SimDuration::from_micros(10);
+/// How long after a failed delivery its sender hears `CallFailed` (the RPC
+/// timeout behind the paper's `RPC.CallFailed`).
+const CALL_FAILED_NOTICE: SimDuration = SimDuration::from_millis(20);
+/// Separates the LAN's latency stream from the engines' RNG streams.
+const LAN_RNG_SALT: u64 = 0x4C41_4E00_0000_0000;
+
+/// Something the LAN schedule does at a fixed time.
+#[derive(Clone, Debug)]
+enum Agendum {
+    External(NodeId, ClientRequest),
+    Crash(NodeId),
+    Recover(NodeId),
+    Partition(Vec<u8>),
+    StorageFault(NodeId, FaultKind),
+    /// An undeliverable message's `CallFailed` notice reaching its sender.
+    Bounce(Envelope),
+}
+
+/// The next event on the LAN, by source.
+enum Next {
+    Agenda,
+    Flush(usize),
+    Deliver(usize),
+    Fire(usize),
+}
+
+/// The LAN schedule's state (see the module docs).
+#[derive(Clone, Debug)]
+struct Lan {
+    /// Draws message latencies.
+    rng: Rng64,
+    /// Delivery time of each pending message, index-aligned with the
+    /// message pool.
+    due: Vec<SimTime>,
+    /// Per node, when its buffered group-commit batch must flush.
+    flush_at: Vec<Option<SimTime>>,
+    /// Scheduled events in (time, scheduling order).
+    agenda: BTreeMap<(SimTime, u64), Agendum>,
+    scheduled: u64,
+    /// Messages given a delivery time so far, self-sends included.
+    sent: u64,
+}
+
+impl Lan {
+    /// Gives every message sent since the last call its delivery time, and
+    /// opens or closes each node's flush deadline as its batch fills or
+    /// empties.
+    fn sync(&mut self, messages: &[Envelope], shells: &[NodeShell], now: SimTime) {
+        let sent = &messages[self.due.len()..];
+        self.sent += sent.len() as u64;
+        for env in sent {
+            let latency = if env.from == env.to {
+                LAN_SELF_LATENCY
+            } else {
+                let (min, max) = LAN_LATENCY_US;
+                SimDuration::from_micros(min + self.rng.below(max - min + 1))
+            };
+            self.due.push(now + latency);
+        }
+        for (at, shell) in self.flush_at.iter_mut().zip(shells) {
+            if shell.buffered() == 0 {
+                *at = None;
+            } else if at.is_none() {
+                *at = Some(now + shell.node.config.group_commit_max_delay);
+            }
+        }
+    }
+
+    /// The earliest pending event. Ties go to the agenda, then flushes,
+    /// then deliveries, then timers; within a source, to the lowest index
+    /// (earliest sent or armed).
+    fn next(&self, timers: &[PendingTimer]) -> Option<(SimTime, Next)> {
+        let mut best: Option<(SimTime, Next)> = None;
+        let mut consider = |at: SimTime, next: Next| {
+            if best.as_ref().is_none_or(|(t, _)| at < *t) {
+                best = Some((at, next));
+            }
+        };
+        if let Some(&(at, _)) = self.agenda.keys().next() {
+            consider(at, Next::Agenda);
+        }
+        for (i, at) in self.flush_at.iter().enumerate() {
+            if let Some(at) = *at {
+                consider(at, Next::Flush(i));
+            }
+        }
+        for (i, &at) in self.due.iter().enumerate() {
+            consider(at, Next::Deliver(i));
+        }
+        for (i, t) in timers.iter().enumerate() {
+            consider(t.fire_at, Next::Fire(i));
+        }
+        best
+    }
+
+    fn schedule(&mut self, at: SimTime, what: Agendum) {
+        self.agenda.insert((at, self.scheduled), what);
+        self.scheduled += 1;
+    }
 }
 
 impl StepDriver {
@@ -141,6 +268,7 @@ impl StepDriver {
             now: SimTime::ZERO,
             pools: Pools::default(),
             partition: vec![0; n],
+            lan: None,
         };
         for id in 0..n as u32 {
             driver.start_node(NodeId(id));
@@ -148,8 +276,140 @@ impl StepDriver {
         driver
     }
 
-    /// Current driver time (advances only when timers fire or the caller
-    /// calls [`advance`](StepDriver::advance)).
+    /// Builds and boots an `n`-node cluster on the timed LAN schedule (see
+    /// the module docs).
+    pub fn lan(n: usize, config: ProtocolConfig) -> Self {
+        let rng = Rng64::new(config.seed ^ LAN_RNG_SALT);
+        let mut driver = StepDriver::new(n, config);
+        driver.lan = Some(Box::new(Lan {
+            rng,
+            due: Vec::new(),
+            flush_at: vec![None; n],
+            agenda: BTreeMap::new(),
+            scheduled: 0,
+            sent: 0,
+        }));
+        driver
+    }
+
+    /// LAN: submits `request` at `node` at time `at`; dropped if `node` is
+    /// down then.
+    pub fn schedule_external(&mut self, at: SimTime, node: NodeId, request: ClientRequest) {
+        self.schedule(at, Agendum::External(node, request));
+    }
+
+    /// LAN: crashes `node` at time `at` (a no-op if it is down then).
+    pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
+        self.schedule(at, Agendum::Crash(node));
+    }
+
+    /// LAN: restarts `node` at time `at` (a no-op if it is up then).
+    pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
+        self.schedule(at, Agendum::Recover(node));
+    }
+
+    /// LAN: replaces the partition islands at time `at` (see
+    /// [`set_partition`](StepDriver::set_partition)).
+    pub fn schedule_partition(&mut self, at: SimTime, islands: Vec<u8>) {
+        assert_eq!(islands.len(), self.shells.len(), "one island id per node");
+        self.schedule(at, Agendum::Partition(islands));
+    }
+
+    /// LAN: arms a one-shot storage fault at `node`'s first journal flush
+    /// at or after time `at` (see
+    /// [`arm_storage_fault`](StepDriver::arm_storage_fault)).
+    pub fn schedule_storage_fault(&mut self, at: SimTime, node: NodeId, kind: FaultKind) {
+        self.schedule(at, Agendum::StorageFault(node, kind));
+    }
+
+    fn schedule(&mut self, at: SimTime, what: Agendum) {
+        assert!(at >= self.now, "cannot schedule into the past");
+        // `assert!` then `if let`: the D3 panic rule admits no `expect`.
+        assert!(self.lan.is_some(), "only a LAN driver keeps an agenda");
+        if let Some(lan) = self.lan.as_mut() {
+            lan.schedule(at, what);
+        }
+    }
+
+    /// LAN: runs until no event is due at or before `until`, each at its
+    /// time, then sets the clock to `until` if it is behind.
+    pub fn run_until(&mut self, until: SimTime) {
+        assert!(self.lan.is_some(), "run_until needs a LAN driver");
+        let Some(mut lan) = self.lan.take() else {
+            return;
+        };
+        loop {
+            lan.sync(&self.pools.messages, &self.shells, self.now);
+            let Some((at, next)) = lan.next(&self.pools.timers) else {
+                break;
+            };
+            if at > until {
+                break;
+            }
+            self.now = at;
+            match next {
+                Next::Agenda => {
+                    if let Some((_, what)) = lan.agenda.pop_first() {
+                        self.apply(what);
+                    }
+                }
+                Next::Flush(i) => {
+                    self.drive(NodeId(i as u32), |shell, now, out| shell.flush(now, out));
+                }
+                Next::Deliver(i) => {
+                    lan.due.remove(i);
+                    let env = self.pools.messages.remove(i);
+                    if self.deliverable(&env) {
+                        self.receive(env);
+                    } else {
+                        lan.schedule(self.now + CALL_FAILED_NOTICE, Agendum::Bounce(env));
+                    }
+                }
+                Next::Fire(i) => self.fire(i),
+            }
+        }
+        self.now = self.now.max(until);
+        self.lan = Some(lan);
+    }
+
+    fn apply(&mut self, what: Agendum) {
+        match what {
+            Agendum::External(node, request) => {
+                if !self.is_down(node) {
+                    self.step_node(node, Input::External(request));
+                }
+            }
+            Agendum::Crash(node) => {
+                if !self.is_down(node) {
+                    self.crash(node);
+                }
+            }
+            Agendum::Recover(node) => {
+                if self.is_down(node) {
+                    self.recover(node);
+                }
+            }
+            Agendum::Partition(islands) => self.partition = islands,
+            Agendum::StorageFault(node, kind) => self.arm_storage_fault(node, kind),
+            Agendum::Bounce(env) => self.bounce(env),
+        }
+    }
+
+    /// LAN: messages put on the network so far, self-sends included (a
+    /// bounce is not a new message); `None` on a zero-latency driver.
+    pub fn messages_sent(&self) -> Option<u64> {
+        let lan = self.lan.as_ref()?;
+        Some(lan.sent + (self.pools.messages.len() - lan.due.len()) as u64)
+    }
+
+    /// Drains the protocol events emitted since the last call.
+    pub fn take_outputs(&mut self) -> Vec<(SimTime, NodeId, ProtocolEvent)> {
+        std::mem::take(&mut self.pools.outputs)
+    }
+
+    /// Current driver time. On a zero-latency driver it advances only when
+    /// messages are delivered, timers fire or the caller calls
+    /// [`advance`](StepDriver::advance); on the LAN, with every event.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -258,28 +518,45 @@ impl StepDriver {
     /// Each delivery advances time by 1 µs, so completion timestamps
     /// strictly follow the injection timestamps of the requests that caused
     /// them (the real-time order the 1SR checker's recency rule relies on).
+    ///
+    /// Zero latency only: a LAN driver delivers through its schedule.
     pub fn deliver(&mut self, i: usize) {
+        debug_assert!(
+            self.lan.is_none(),
+            "a LAN driver delivers only through its timed schedule"
+        );
         self.now += SimDuration::from_micros(1);
         let env = self.pools.messages.remove(i);
-        if self.is_down(env.to) || !self.connected(env.from, env.to) {
-            if !self.is_down(env.from) {
-                self.step_node(
-                    env.from,
-                    Input::CallFailed {
-                        to: env.to,
-                        msg: env.msg,
-                    },
-                );
-            }
+        if self.deliverable(&env) {
+            self.receive(env);
         } else {
-            self.step_node(
-                env.to,
-                Input::Deliver {
-                    from: env.from,
-                    msg: env.msg,
-                    lamport: env.lamport,
-                },
-            );
+            self.bounce(env);
+        }
+    }
+
+    /// True if `env`'s destination is up and reachable from its sender.
+    fn deliverable(&self, env: &Envelope) -> bool {
+        !self.is_down(env.to) && self.connected(env.from, env.to)
+    }
+
+    /// Hands a deliverable message to its destination.
+    fn receive(&mut self, env: Envelope) {
+        let input = Input::Deliver {
+            from: env.from,
+            msg: env.msg,
+            lamport: env.lamport,
+        };
+        self.step_node(env.to, input);
+    }
+
+    /// Tells an undeliverable message's sender, unless it is down too.
+    fn bounce(&mut self, env: Envelope) {
+        if !self.is_down(env.from) {
+            let input = Input::CallFailed {
+                to: env.to,
+                msg: env.msg,
+            };
+            self.step_node(env.from, input);
         }
     }
 
@@ -320,9 +597,13 @@ impl StepDriver {
     ///
     /// This is the "zero-latency network, well-behaved clocks" schedule —
     /// useful as a baseline; the interleaving explorer exists precisely to
-    /// try all the *other* schedules.
+    /// try all the *other* schedules. A LAN driver instead runs its timed
+    /// schedule for `d` ([`run_until`](StepDriver::run_until)).
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.now + d;
+        if self.lan.is_some() {
+            return self.run_until(deadline);
+        }
         loop {
             if !self.pools.messages.is_empty() {
                 self.deliver(0);

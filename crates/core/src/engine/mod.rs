@@ -14,9 +14,8 @@
 //! * **transport, timers, durability** are requested as effects. A
 //!   [`NodeShell`] applies the durability rules (journal, group commit,
 //!   ack-before-flush, failpoints, crash replay) and releases the rest to
-//!   whatever host embeds it — the substrate-free [`StepDriver`], or the
-//!   discrete-event simulator and the threaded runtime (both through
-//!   `JournaledNode`, feature `simnet-host`).
+//!   whatever host embeds it — the deterministic [`StepDriver`], or the
+//!   threaded runtime (through `JournaledNode`, feature `simnet-host`).
 //!
 //! **Determinism guarantee:** two `ReplicaNode`s constructed with the same
 //! `(NodeId, ProtocolConfig)` and fed the same sequence of `(now, Input)`

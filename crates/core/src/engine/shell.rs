@@ -4,8 +4,8 @@
 //! The paper's fail-stop model (§3) rests on one rule: what survives a
 //! crash is exactly what was made stable, and no vote or acknowledgement
 //! leaves a node before the state behind it is stable. A [`NodeShell`]
-//! implements that rule once, for every host (the [`StepDriver`], the
-//! discrete-event simulator and the threaded runtime). It owns one node's
+//! implements that rule once, for every host (the [`StepDriver`] and the
+//! threaded runtime). It owns one node's
 //! [`ReplicaNode`], its [`FramedJournal`], its group-commit buffer, the
 //! observable effects held back behind that buffer, its storage
 //! [`Failpoints`], an optional trace ring, and its flush counter.
@@ -34,7 +34,8 @@
 //!   after a quarantine).
 //!
 //! *When* to flush a non-full batch is host policy and stays with the host:
-//! a [`StepDriver`] caller flushes when its message pool drains; the
+//! a zero-latency [`StepDriver`]'s caller flushes when its message pool
+//! drains, a LAN `StepDriver` at the `group_commit_max_delay` deadline; the
 //! threaded adapter (`JournaledNode`) flushes on an idle inbox or at the
 //! `group_commit_max_delay` deadline. Wall-clock timing and the optional
 //! `fdatasync` mirror also stay at the host boundary, so this module stays

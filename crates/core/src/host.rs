@@ -1,9 +1,8 @@
-//! The host adapter binding node shells to the `coterie-simnet` substrate
-//! (feature `simnet-host`).
+//! The host adapter binding node shells to the `coterie-simnet` threaded
+//! host (feature `simnet-host`).
 //!
-//! [`JournaledNode`] is the one [`Application`] both simnet hosts — the
-//! discrete-event [`Sim`](coterie_simnet::Sim) and the
-//! [`ThreadedRuntime`](coterie_simnet::ThreadedRuntime) — run. It is a
+//! [`JournaledNode`] is the [`Application`] the
+//! [`ThreadedRuntime`](coterie_simnet::ThreadedRuntime) runs. It is a
 //! [`NodeShell`] (engine, journal, group commit, ack-before-flush,
 //! failpoints, trace ring, flush counter; see `engine/shell.rs`) plus the
 //! pieces that only a real host has, kept here so engine code stays free
@@ -13,14 +12,13 @@
 //!   flush costs what it would on real storage;
 //! * a wall-clock flush-latency histogram;
 //! * the flush policy for a group-commit batch that has not reached its
-//!   cap: flush when the inbox drains ([`Application::on_idle`], threaded
-//!   runtime only), or at the latest when the [`Timer::HostFlush`]
-//!   deadline (`group_commit_max_delay`) fires.
+//!   cap: flush when the inbox drains ([`Application::on_idle`]), or at
+//!   the latest when the [`Timer::HostFlush`] deadline
+//!   (`group_commit_max_delay`) fires.
 //!
 //! Every crash is recovered from the journal alone: the restart replays
-//! it and installs the result, so a simulation over `JournaledNode`s
-//! proves the journal carries everything the protocol needs across
-//! failures. The simnet hosts never arm the shell's failpoints.
+//! it and installs the result. The threaded host never arms the shell's
+//! failpoints.
 
 use coterie_base::{SimDuration, SimTime, TimerId};
 use coterie_quorum::NodeId;
@@ -32,8 +30,8 @@ use crate::engine::shell::{NodeShell, Outbox};
 use crate::msg::{ClientRequest, Msg, ProtocolEvent};
 use crate::node::Timer;
 
-/// What travels over the simulated (or threaded) network: the protocol
-/// message plus the sender's Lamport stamp. The stamp is trace metadata —
+/// What travels between threaded-host nodes: the protocol message plus the
+/// sender's Lamport stamp. The stamp is trace metadata —
 /// hosts thread it from [`Effect::Send`](crate::engine::Effect::Send) to
 /// [`Input::Deliver`] so causal ordering survives the substrate; the
 /// protocol itself never reads it.
@@ -115,7 +113,7 @@ impl Outbox for Ctx<'_, JournaledNode> {
     }
 }
 
-/// A [`NodeShell`] hosted on the simnet substrate (see the module docs).
+/// A [`NodeShell`] hosted on the threaded runtime (see the module docs).
 /// Dereferences to the shell, and through it to the engine.
 #[derive(Clone, Debug)]
 pub struct JournaledNode {

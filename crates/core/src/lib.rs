@@ -30,9 +30,9 @@
 //! The engine consumes [`Input`]s and emits [`Effect`]s. A [`NodeShell`]
 //! wraps each engine with its journal and the durability rules, and hosts
 //! apply what the shell releases to a substrate. The [`StepDriver`] below
-//! is the substrate-free host (the `simnet-host` feature adds
-//! `JournaledNode`, the shell's adapter for the discrete-event simulator
-//! and the threaded runtime):
+//! is the deterministic cluster simulator, with a zero-latency or a LAN
+//! network (the `simnet-host` feature adds `JournaledNode`, the shell's
+//! adapter for the threaded runtime):
 //!
 //! ```
 //! use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, StepDriver};

@@ -3,26 +3,19 @@
 //! and a recovering higher node reclaims the role.
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent};
+use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_quorum::{GridCoterie, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration};
+use coterie_simnet::SimDuration;
 use std::sync::Arc;
 
-fn bully_cluster(n: usize, seed: u64) -> Sim<JournaledNode> {
+fn bully_cluster(n: usize, seed: u64) -> StepDriver {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2))
         .bully_election();
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    )
+    StepDriver::lan(n, config.rng_seed(seed))
 }
 
-fn leader_of(sim: &Sim<JournaledNode>, id: u32) -> Option<NodeId> {
+fn leader_of(sim: &StepDriver, id: u32) -> Option<NodeId> {
     sim.node(NodeId(id)).vol.election.leader
 }
 
@@ -47,7 +40,7 @@ fn highest_node_becomes_coordinator() {
 fn epoch_checks_adapt_under_bully_leadership() {
     let mut sim = bully_cluster(9, 2);
     sim.run_for(SimDuration::from_secs(12)); // settle leadership
-    sim.crash_now(NodeId(3));
+    sim.crash(NodeId(3));
     sim.run_for(SimDuration::from_secs(12));
     let evs: Vec<_> = sim.take_outputs();
     assert!(
@@ -78,7 +71,7 @@ fn leadership_fails_over_when_the_leader_dies() {
     let mut sim = bully_cluster(5, 3);
     sim.run_for(SimDuration::from_secs(15));
     assert_eq!(leader_of(&sim, 0), Some(NodeId(4)));
-    sim.crash_now(NodeId(4));
+    sim.crash(NodeId(4));
     // Silence triggers elections; node 3 should take over.
     sim.run_for(SimDuration::from_secs(25));
     for id in 0..4u32 {
@@ -96,10 +89,10 @@ fn leadership_fails_over_when_the_leader_dies() {
 fn recovered_higher_node_reclaims_leadership() {
     let mut sim = bully_cluster(5, 4);
     sim.run_for(SimDuration::from_secs(15));
-    sim.crash_now(NodeId(4));
+    sim.crash(NodeId(4));
     sim.run_for(SimDuration::from_secs(25));
     assert_eq!(leader_of(&sim, 0), Some(NodeId(3)));
-    sim.recover_now(NodeId(4));
+    sim.recover(NodeId(4));
     // The recovering node sees a lower coordinator and bullies the role
     // back (its own ticks start elections; node 3's Coordinator messages
     // provoke it).

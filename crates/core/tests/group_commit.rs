@@ -12,7 +12,7 @@
 //!    the committed journal prefix as it stood before the crash — no
 //!    flushed delta is lost, no unflushed delta resurrects.
 //!
-//! Both hosts run the same node shell, so flush accounting must agree
+//! Every host runs the same node shell, so flush accounting must agree
 //! between them too (the last test).
 
 use std::sync::Arc;
@@ -23,8 +23,9 @@ use coterie_core::{
     MetricsRegistry, OpId, PartialWrite, ProtocolConfig, ProtocolEvent, Rng64, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime, ThreadedRuntime};
 use proptest::prelude::*;
+use std::time::Duration;
 
 const N_PAGES: usize = 4;
 
@@ -300,14 +301,27 @@ fn write_burst_batches_and_chains_rounds() {
 /// Flush accounting is the same on every host: a write-through append is
 /// one header commit and counts as one flush, a group-commit batch counts
 /// as one flush, and the cluster's `journal_flushes` metric is the sum of
-/// the per-node counters. Checked in both modes on `StepDriver` and on the
-/// simulator host.
+/// the per-node counters. Checked in both modes on the zero-latency and
+/// the LAN `StepDriver` and on the threaded host.
 #[test]
 fn flush_counters_agree_across_hosts() {
     const N: u32 = 3;
     let write = |id: u64| ClientRequest::Write {
         id,
         write: PartialWrite::new([((id % N_PAGES as u64) as u16, Bytes::from(vec![id as u8]))]),
+    };
+    // Per host: the merged metrics and each node's (flushes, committed
+    // journal records).
+    let driver_counts = |d: &StepDriver| {
+        let nodes = (0..N)
+            .map(|i| {
+                (
+                    d.flushes(NodeId(i)),
+                    d.journal(NodeId(i)).committed_records(),
+                )
+            })
+            .collect::<Vec<_>>();
+        (d.metrics(), nodes)
     };
     for group in [1, 8] {
         let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), N as usize)
@@ -316,40 +330,50 @@ fn flush_counters_agree_across_hosts() {
             .group_commit(group, SimDuration::from_millis(2))
             .rng_seed(11);
 
-        let mut driver = StepDriver::new(N as usize, config.clone());
+        let mut zero = StepDriver::new(N as usize, config.clone());
         for id in 1..=12 {
-            driver.inject(NodeId(id as u32 % N), write(id));
+            zero.inject(NodeId(id as u32 % N), write(id));
         }
-        driver.run_for(SimDuration::from_secs(5));
-        let mut sim = Sim::new(N as usize, SimConfig::default(), |id| {
-            JournaledNode::new(id, config.clone())
-        });
+        zero.run_for(SimDuration::from_secs(5));
+        let mut lan = StepDriver::lan(N as usize, config.clone());
         for id in 1..=12 {
             let at = SimTime::ZERO + SimDuration::from_millis(id);
-            sim.schedule_external(at, NodeId(id as u32 % N), write(id));
+            lan.schedule_external(at, NodeId(id as u32 % N), write(id));
         }
-        sim.run_for(SimDuration::from_secs(5));
+        lan.run_for(SimDuration::from_secs(5));
+        let threaded = {
+            let node_config = config.clone();
+            let rt = ThreadedRuntime::spawn(N as usize, 11, Duration::from_millis(20), |id| {
+                JournaledNode::new(id, node_config.clone())
+            });
+            for id in 1..=12 {
+                rt.inject(NodeId(id as u32 % N), write(id));
+            }
+            let done = (0..12)
+                .take_while(|_| rt.recv_output(Duration::from_secs(10)).is_some())
+                .count();
+            assert_eq!(
+                done, 12,
+                "threaded host, batch {group}: writes did not finish"
+            );
+            let nodes = rt.shutdown();
+            let metrics = nodes.iter().fold(MetricsRegistry::new(), |mut m, node| {
+                m.merge(&node.metrics());
+                m
+            });
+            let counts = nodes
+                .iter()
+                .map(|node| (node.flushes, node.journal.committed_records()))
+                .collect::<Vec<_>>();
+            (metrics, counts)
+        };
 
         let hosts = [
-            (
-                "StepDriver",
-                driver.metrics(),
-                (0..N)
-                    .map(|i| (driver.flushes(NodeId(i)), driver.journal(NodeId(i))))
-                    .collect::<Vec<_>>(),
-            ),
-            (
-                "Sim<JournaledNode>",
-                (0..N).fold(MetricsRegistry::new(), |mut m, i| {
-                    m.merge(&sim.node(NodeId(i)).metrics());
-                    m
-                }),
-                (0..N)
-                    .map(|i| (sim.node(NodeId(i)).flushes, &sim.node(NodeId(i)).journal))
-                    .collect(),
-            ),
+            ("zero-latency StepDriver", driver_counts(&zero)),
+            ("LAN StepDriver", driver_counts(&lan)),
+            ("ThreadedRuntime<JournaledNode>", threaded),
         ];
-        for (host, metrics, nodes) in hosts {
+        for (host, (metrics, nodes)) in hosts {
             let total: u64 = nodes.iter().map(|(flushes, _)| flushes).sum();
             assert!(total > 0, "{host}, batch {group}: nothing flushed");
             assert_eq!(
@@ -358,10 +382,9 @@ fn flush_counters_agree_across_hosts() {
                 "{host}, batch {group}: metric disagrees with the node counters"
             );
             if group == 1 {
-                for (i, (flushes, journal)) in nodes.iter().enumerate() {
+                for (i, (flushes, records)) in nodes.iter().enumerate() {
                     assert_eq!(
-                        *flushes,
-                        journal.committed_records(),
+                        flushes, records,
                         "{host}, node {i}: each write-through append is one flush"
                     );
                 }

@@ -3,21 +3,14 @@
 //! three-way offer handshake, and the locking-mode ablation.
 
 use bytes::Bytes;
-use coterie_core::{ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent};
+use coterie_core::{ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_quorum::{GridCoterie, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
-fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<JournaledNode> {
+fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> StepDriver {
     let n = config.n_replicas;
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    );
+    let mut sim = StepDriver::lan(n, config.rng_seed(seed));
     for i in 0..writes {
         sim.schedule_external(
             SimTime(i * 250_000),
@@ -36,7 +29,7 @@ fn run_with_config(config: ProtocolConfig, seed: u64, writes: u64) -> Sim<Journa
 /// (replicas that were never marked may legitimately sit behind), at least
 /// a write quorum's worth of replicas hold the newest version, and all the
 /// newest-version holders agree on content.
-fn assert_propagation_converged(sim: &Sim<JournaledNode>, n: usize, version: u64) {
+fn assert_propagation_converged(sim: &StepDriver, n: usize, version: u64) {
     let versions: Vec<u64> = (0..n as u32)
         .map(|i| sim.node(NodeId(i)).durable.version)
         .collect();
@@ -90,14 +83,7 @@ fn paper_locking_mode_also_converges() {
 fn propagation_source_crash_does_not_leave_target_stuck() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9);
     let n = 9;
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 4,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    );
+    let mut sim = StepDriver::lan(n, config.rng_seed(4));
     // A few writes to create stale marks and kick off propagation.
     for i in 0..6u64 {
         sim.schedule_external(
@@ -144,23 +130,13 @@ fn propagation_source_crash_does_not_leave_target_stuck() {
 fn stale_replica_never_serves_reads() {
     // Force a replica stale, then point a read's fetch at the cluster: the
     // read must come back with the newest version, never the stale copy.
-    let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
+    let mut config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
         // Disable propagation-by-delay so staleness persists during the test.
-        .check_period(SimDuration::from_secs(600));
-    let n = 9;
-    let mut sim = Sim::new(
-        n,
-        SimConfig {
-            seed: 6,
-            ..Default::default()
-        },
-        |id| {
-            let mut cfg = config.clone();
-            cfg.propagation_retry = SimDuration::from_secs(600);
-            cfg.propagation_jitter = SimDuration::from_secs(600);
-            JournaledNode::new(id, cfg)
-        },
-    );
+        .check_period(SimDuration::from_secs(600))
+        .rng_seed(6);
+    config.propagation_retry = SimDuration::from_secs(600);
+    config.propagation_jitter = SimDuration::from_secs(600);
+    let mut sim = StepDriver::lan(9, config);
     for i in 0..8u64 {
         sim.schedule_external(
             SimTime(i * 200_000),

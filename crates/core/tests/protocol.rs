@@ -1,41 +1,27 @@
-//! End-to-end protocol tests over the discrete-event simulator: happy-path
+//! End-to-end protocol tests on the LAN-scheduled `StepDriver`: happy-path
 //! reads and writes, stale marking and propagation, epoch changes under
 //! failures, partitions, crash recovery, and one-copy serializability.
 
 use bytes::Bytes;
 use coterie_core::{
-    ClientRequest, FailReason, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ClientRequest, FailReason, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId, RowaCoterie};
-use coterie_simnet::{Partition, Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
-type Cluster = Sim<JournaledNode>;
+type Cluster = StepDriver;
 
 fn grid_cluster(n: usize, seed: u64) -> Cluster {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    )
+    StepDriver::lan(n, config.rng_seed(seed))
 }
 
 fn majority_cluster(n: usize, seed: u64) -> Cluster {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    )
+    StepDriver::lan(n, config.rng_seed(seed))
 }
 
 fn b(s: &str) -> Bytes {
@@ -216,7 +202,7 @@ fn writes_survive_node_failures_via_epoch_change() {
     // write quorum of the 9-epoch and freeze it. {3, 6, 7} leaves column 3
     // ({2, 5, 8}) fully alive.
     for &v in &[3u32, 6, 7] {
-        sim.crash_now(NodeId(v));
+        sim.crash(NodeId(v));
     }
     // Let epoch checking notice (period 2 s for rank 0 + jitter).
     sim.run_for(SimDuration::from_secs(10));
@@ -243,16 +229,9 @@ fn writes_survive_node_failures_via_epoch_change() {
 #[test]
 fn static_mode_blocks_when_a_column_dies() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9).static_mode();
-    let mut sim = Sim::new(
-        9,
-        SimConfig {
-            seed: 6,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    );
+    let mut sim = StepDriver::lan(9, config.rng_seed(6));
     for &v in &[1u32, 4, 7] {
-        sim.crash_now(NodeId(v));
+        sim.crash(NodeId(v));
     }
     sim.schedule_external(SimTime(1000), NodeId(0), write_req(1, 0, "w"));
     sim.run_for(SimDuration::from_secs(5));
@@ -272,7 +251,7 @@ fn gradual_failures_leave_three_survivors_still_writable() {
     sim.run_for(SimDuration::from_secs(1));
     let _ = events(&mut sim); // drain the warm-up write's event
     for (i, victim) in [8u32, 7, 6, 5, 4, 3].iter().enumerate() {
-        sim.crash_now(NodeId(*victim));
+        sim.crash(NodeId(*victim));
         // Give epoch checking time to adjust after each failure.
         sim.run_for(SimDuration::from_secs(12));
         sim.schedule_external(
@@ -301,7 +280,7 @@ fn minority_partition_cannot_write_majority_can() {
     sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(0, 0, "base"));
     sim.run_for(SimDuration::from_secs(1));
     // Partition {3, 4} away.
-    sim.set_partition_now(Partition::split(5, &[NodeId(3), NodeId(4)]));
+    sim.set_partition(vec![0, 0, 0, 1, 1]);
     sim.run_for(SimDuration::from_secs(10)); // epoch shrinks to {0,1,2}
     let _ = events(&mut sim);
     sim.schedule_external(sim.now(), NodeId(0), write_req(1, 0, "major"));
@@ -315,7 +294,7 @@ fn minority_partition_cannot_write_majority_can() {
     assert!(fails.iter().any(|&(id, _)| id == 2), "minority write fails");
 
     // Heal: the partitioned nodes rejoin and catch up.
-    sim.set_partition_now(Partition::connected(5));
+    sim.heal_partition();
     sim.run_for(SimDuration::from_secs(30));
     let _ = events(&mut sim);
     for id in 0..5u32 {
@@ -331,12 +310,12 @@ fn crashed_node_recovers_and_is_reabsorbed() {
     let mut sim = grid_cluster(4, 9);
     sim.schedule_external(SimTime::ZERO, NodeId(0), write_req(0, 0, "a"));
     sim.run_for(SimDuration::from_secs(1));
-    sim.crash_now(NodeId(3));
+    sim.crash(NodeId(3));
     sim.run_for(SimDuration::from_secs(10));
     sim.schedule_external(sim.now(), NodeId(0), write_req(1, 1, "b"));
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(sim.node(NodeId(0)).durable.elist.len(), 3);
-    sim.recover_now(NodeId(3));
+    sim.recover(NodeId(3));
     sim.run_for(SimDuration::from_secs(20));
     let node3 = sim.node(NodeId(3));
     assert_eq!(node3.durable.elist.len(), 4, "recovered node rejoins");
@@ -348,14 +327,7 @@ fn crashed_node_recovers_and_is_reabsorbed() {
 fn rowa_reads_are_one_node_and_writes_touch_all() {
     let config = ProtocolConfig::new(Arc::new(RowaCoterie::new()), 4)
         .check_period(SimDuration::from_secs(2));
-    let mut sim = Sim::new(
-        4,
-        SimConfig {
-            seed: 10,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    );
+    let mut sim = StepDriver::lan(4, config.rng_seed(10));
     sim.schedule_external(SimTime::ZERO, NodeId(1), write_req(0, 0, "w"));
     sim.run_for(SimDuration::from_secs(1));
     let evs = events(&mut sim);
@@ -430,7 +402,7 @@ fn write_failure_reported_when_too_few_nodes_up() {
     // Kill 4 of 5 instantly: epoch cannot adjust fast enough (majority of
     // the 5-epoch is gone), so writes must fail.
     for v in 1..5u32 {
-        sim.crash_now(NodeId(v));
+        sim.crash(NodeId(v));
     }
     sim.schedule_external(sim.now(), NodeId(0), write_req(1, 0, "y"));
     sim.run_for(SimDuration::from_secs(5));

@@ -6,23 +6,16 @@
 
 use bytes::Bytes;
 use coterie_core::{
-    keys, ClientRequest, JournaledNode, Mode, PartialWrite, ProtocolConfig, ProtocolEvent,
+    keys, ClientRequest, Mode, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use coterie_quorum::{GridCoterie, MajorityCoterie, NodeId};
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
-fn cluster(n: usize, seed: u64, check_secs: u64) -> Sim<JournaledNode> {
+fn cluster(n: usize, seed: u64, check_secs: u64) -> StepDriver {
     let config = ProtocolConfig::new(Arc::new(MajorityCoterie::new()), n)
         .check_period(SimDuration::from_secs(check_secs));
-    Sim::new(
-        n,
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    )
+    StepDriver::lan(n, config.rng_seed(seed))
 }
 
 fn w(id: u64, data: &str) -> ClientRequest {
@@ -43,7 +36,7 @@ fn coordinator_crash_before_decision_presumed_aborts() {
     sim.run_for(SimDuration::from_secs(1));
     // Recover the coordinator: participants (and the coordinator itself,
     // if it prepared) must resolve via the decision log — presumed abort.
-    sim.recover_now(NodeId(0));
+    sim.recover(NodeId(0));
     sim.run_for(SimDuration::from_secs(5));
     for id in 0..3u32 {
         let node = sim.node(NodeId(id));
@@ -79,8 +72,8 @@ fn participant_crash_after_prepare_recovers_the_outcome() {
     // Crash a participant and recover it: no in-doubt state, and its
     // durable replica state is intact.
     let v_before = sim.node(NodeId(1)).durable.version;
-    sim.crash_now(NodeId(1));
-    sim.recover_now(NodeId(1));
+    sim.crash(NodeId(1));
+    sim.recover(NodeId(1));
     sim.run_for(SimDuration::from_secs(1));
     assert_eq!(sim.node(NodeId(1)).durable.version, v_before);
     assert!(sim.node(NodeId(1)).durable.prepared.is_none());
@@ -132,15 +125,8 @@ fn many_coordinator_crashes_never_wedge_the_system() {
 fn static_mode_never_runs_epoch_checks() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 4).static_mode();
     assert!(matches!(config.mode, Mode::Static));
-    let mut sim = Sim::new(
-        4,
-        SimConfig {
-            seed: 4,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    );
-    sim.crash_now(NodeId(3));
+    let mut sim = StepDriver::lan(4, config.rng_seed(4));
+    sim.crash(NodeId(3));
     sim.run_for(SimDuration::from_secs(30));
     for id in 0..3u32 {
         assert_eq!(sim.node(NodeId(id)).durable.enumber, 0);
@@ -156,14 +142,7 @@ fn safety_threshold_extras_receive_the_update() {
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), 9)
         .check_period(SimDuration::from_secs(2))
         .safety(3);
-    let mut sim = Sim::new(
-        9,
-        SimConfig {
-            seed: 5,
-            ..Default::default()
-        },
-        |id| JournaledNode::new(id, config.clone()),
-    );
+    let mut sim = StepDriver::lan(9, config.rng_seed(5));
     for i in 0..15u64 {
         sim.schedule_external(
             SimTime(i * 300_000),

@@ -1,5 +1,5 @@
-//! The same `JournaledNode` program that runs on the deterministic simulator
-//! also runs on real OS threads (crossbeam channels, wall-clock timers):
+//! The same node shell that runs on the deterministic `StepDriver` also
+//! runs on real OS threads (crossbeam channels, wall-clock timers):
 //! the protocol implementation is substrate-independent.
 
 // Deadline polling against the real-thread host needs the real clock.

@@ -83,7 +83,7 @@ impl CheckReport {
 }
 
 /// Checks a run: `issued` comes from the workload generator, `events` from
-/// draining the simulator's outputs, `n_pages` must match the protocol
+/// draining the driver's outputs, `n_pages` must match the protocol
 /// configuration.
 pub fn check_run(
     issued: &HashMap<u64, IssuedOp>,

@@ -13,7 +13,7 @@ use crate::scenario::{run_scenario, Scenario, ScenarioResult};
 use crate::workload::{Workload, WorkloadConfig};
 use coterie_core::ProtocolConfig;
 use coterie_quorum::GridCoterie;
-use coterie_simnet::{SimConfig, SimDuration};
+use coterie_simnet::SimDuration;
 use std::sync::Arc;
 
 /// One threshold setting's results.
@@ -55,10 +55,7 @@ pub fn compute(n: usize, duration_secs: u64, seed: u64) -> Vec<SafetyRow> {
             );
             let scenario = Scenario {
                 protocol,
-                sim: SimConfig {
-                    seed,
-                    ..Default::default()
-                },
+                seed,
                 workload,
                 faults,
                 drain: SimDuration::from_secs(10),
@@ -91,7 +88,7 @@ pub fn render(n: usize, duration_secs: u64, seed: u64) -> String {
             format!("{:.1}", r.write_success_rate() * 100.0),
             format!("{:.2}", r.replicas_touched_avg),
             format!("{:.1}", r.msgs_per_op),
-            format!("{:.2}", r.write_latency.mean_ms()),
+            format!("{:.2}", r.write_latency.mean() / 1e3),
         ]);
     }
     t.render()
@@ -127,5 +124,19 @@ mod tests {
             ok(3),
             ok(0)
         );
+    }
+
+    #[test]
+    fn every_threshold_stays_consistent_across_seeds() {
+        for seed in 42..=45 {
+            for row in compute(9, 30, seed) {
+                assert!(
+                    row.result.check.consistent(),
+                    "seed {seed}, threshold {}: {:?}",
+                    row.threshold,
+                    row.result.check.violations
+                );
+            }
+        }
     }
 }

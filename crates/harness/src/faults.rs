@@ -3,7 +3,7 @@
 
 use coterie_core::FaultKind;
 use coterie_quorum::NodeId;
-use coterie_simnet::{Partition, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,11 +44,11 @@ pub enum FaultEvent {
     Crash(NodeId),
     /// Recover `node`.
     Recover(NodeId),
-    /// Replace the partition.
-    Partition(Partition),
-    /// Arm a one-shot storage fault at `node`'s next journal append
-    /// (consumed by [`StepDriver`](coterie_core::StepDriver)-based
-    /// harnesses such as the nemesis soak; simnet scenarios ignore it).
+    /// Replace the partition: one island id per node, as
+    /// [`StepDriver::set_partition`](coterie_core::StepDriver::set_partition)
+    /// takes it.
+    Partition(Vec<u8>),
+    /// Arm a one-shot storage fault at `node`'s next journal append.
     StorageFault {
         /// The node whose journal misbehaves.
         node: NodeId,
@@ -128,12 +128,13 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> FaultPlan {
-        self.events.push((
-            from,
-            FaultEvent::Partition(Partition::split(n_nodes, island)),
-        ));
+        let mut islands = vec![0; n_nodes];
+        for node in island {
+            islands[node.index()] = 1;
+        }
+        self.events.push((from, FaultEvent::Partition(islands)));
         self.events
-            .push((until, FaultEvent::Partition(Partition::connected(n_nodes))));
+            .push((until, FaultEvent::Partition(vec![0; n_nodes])));
         self.events.sort_by_key(|(t, _)| *t);
         self
     }
@@ -301,7 +302,8 @@ mod tests {
             SimTime(10),
         );
         assert_eq!(plan.len(), 2);
-        assert!(matches!(plan.events[0].1, FaultEvent::Partition(_)));
+        assert_eq!(plan.events[0].1, FaultEvent::Partition(vec![0, 0, 0, 1]));
+        assert_eq!(plan.events[1].1, FaultEvent::Partition(vec![0; 4]));
         assert!(plan.events[0].0 < plan.events[1].0);
     }
 }

@@ -1,19 +1,20 @@
 //! The full-protocol scenario runner: builds a cluster of journaling
-//! replicas ([`JournaledNode`]) on the discrete-event simulator, injects a
-//! workload and a fault plan, collects the outputs, runs the consistency
-//! checker, and aggregates metrics. Every crash is recovered by replaying
-//! the node's journal.
+//! replicas on a [`StepDriver`] with the timed LAN schedule, injects a
+//! workload and a fault plan (crashes, recoveries, partitions and storage
+//! faults), collects the outputs, runs the consistency checker, and
+//! aggregates metrics. Every crash is recovered by replaying the node's
+//! journal.
 
 // Tool-side aggregation; hash maps never feed engine effects.
 #![allow(clippy::disallowed_types)]
 
 use crate::checker::{check_run, CheckReport};
 use crate::faults::{FaultEvent, FaultPlan};
-use crate::metrics::{LatencyStats, LoadStats};
+use crate::metrics::LoadStats;
 use crate::workload::Workload;
-use coterie_core::{keys, JournaledNode, MsgClass, ProtocolConfig, ProtocolEvent};
+use coterie_core::{keys, Histogram, MsgClass, ProtocolConfig, ProtocolEvent, StepDriver};
 use coterie_quorum::NodeId;
-use coterie_simnet::{Sim, SimConfig, SimDuration, SimTime};
+use coterie_simnet::{SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -22,8 +23,8 @@ use std::collections::HashMap;
 pub struct Scenario {
     /// Protocol configuration shared by all replicas.
     pub protocol: ProtocolConfig,
-    /// Simulator configuration.
-    pub sim: SimConfig,
+    /// Run seed: the engines' RNG and the LAN's latency draws.
+    pub seed: u64,
     /// Pre-generated workload.
     pub workload: Workload,
     /// Pre-generated faults.
@@ -51,12 +52,12 @@ pub struct ScenarioResult {
     pub msgs_by_class: HashMap<String, u64>,
     /// Messages per *completed* operation.
     pub msgs_per_op: f64,
-    /// Write latency distribution.
+    /// Write latency distribution, microseconds.
     #[serde(skip)]
-    pub write_latency: LatencyStats,
-    /// Read latency distribution.
+    pub write_latency: Histogram,
+    /// Read latency distribution, microseconds.
     #[serde(skip)]
-    pub read_latency: LatencyStats,
+    pub read_latency: Histogram,
     /// Per-node received-message load.
     pub load: LoadStats,
     /// Client-level retries.
@@ -101,36 +102,7 @@ impl ScenarioResult {
 /// Runs a scenario to completion.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     let n = scenario.protocol.n_replicas;
-    // Thread the run seed into the engine: protocol jitter is drawn from
-    // the sans-I/O engine's own RNG, so distinct scenario seeds must reach
-    // it for runs to decorrelate.
-    let protocol = scenario.protocol.clone().rng_seed(scenario.sim.seed);
-    let mut sim: Sim<JournaledNode> = Sim::new(n, scenario.sim.clone(), |id| {
-        JournaledNode::new(id, protocol.clone())
-    });
-
-    // Schedule the workload.
-    let mut last_event = SimTime::ZERO;
-    for (at, node, req) in &scenario.workload.ops {
-        sim.schedule_external(*at, *node, req.clone());
-        last_event = last_event.max(*at);
-    }
-    // Schedule the faults.
-    for (at, fault) in &scenario.faults.events {
-        match fault {
-            FaultEvent::Crash(node) => sim.schedule_crash(*at, *node),
-            FaultEvent::Recover(node) => sim.schedule_recover(*at, *node),
-            FaultEvent::Partition(p) => sim.schedule_partition(*at, p.clone()),
-            // Ignored here: the scenario tables are defined without
-            // storage faults. The StepDriver-based nemesis harness honors
-            // these events.
-            FaultEvent::StorageFault { .. } => {}
-        }
-        last_event = last_event.max(*at);
-    }
-
-    sim.run_until(last_event + scenario.drain);
-    let events = sim.take_outputs();
+    let (sim, events) = simulate(scenario);
 
     // Aggregate.
     let mut result = ScenarioResult {
@@ -141,17 +113,18 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         match e {
             ProtocolEvent::WriteOk { id, .. } => {
                 if let Some(op) = scenario.workload.issued.get(id) {
-                    result.write_latency.record(t.since(op.at));
+                    result.write_latency.record(t.since(op.at).micros());
                 }
             }
             ProtocolEvent::ReadOk { id, .. } => {
                 if let Some(op) = scenario.workload.issued.get(id) {
-                    result.read_latency.record(t.since(op.at));
+                    result.read_latency.record(t.since(op.at).micros());
                 }
             }
             _ => {}
         }
     }
+    let mut received = vec![0; n];
     for id in 0..n as u32 {
         let stats = &sim.node(NodeId(id)).stats;
         let writes_ok = stats.counter(keys::WRITES_OK);
@@ -166,6 +139,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         result.sync_reconciliations += stats.counter(keys::SYNC_RECONCILIATIONS);
         for class in MsgClass::ALL {
             let count = stats.counter(keys::msgs_in(class));
+            received[id as usize] += count;
             if count > 0 {
                 *result
                     .msgs_by_class
@@ -182,14 +156,14 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         result.replicas_touched_avg /= result.writes_ok as f64;
         result.marked_stale_avg /= result.writes_ok as f64;
     }
-    result.msgs_sent = sim.counters().sent;
     let completed = result.writes_ok + result.reads_ok;
+    result.msgs_sent = sim.messages_sent().expect("a scenario runs on the LAN");
     result.msgs_per_op = if completed > 0 {
         result.msgs_sent as f64 / completed as f64
     } else {
         0.0
     };
-    result.load = LoadStats::new(sim.counters().received_by.clone());
+    result.load = LoadStats::new(received);
     result.check = check_run(
         &scenario.workload.issued,
         &events,
@@ -198,11 +172,40 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
     result
 }
 
+/// Runs the scenario's workload and fault plan on a LAN driver; returns
+/// the driver and every protocol event it emitted.
+fn simulate(scenario: &Scenario) -> (StepDriver, Vec<(SimTime, NodeId, ProtocolEvent)>) {
+    let n = scenario.protocol.n_replicas;
+    // The run seed reaches the engines (protocol jitter is drawn from each
+    // engine's own RNG) and the LAN's latency draws.
+    let mut sim = StepDriver::lan(n, scenario.protocol.clone().rng_seed(scenario.seed));
+    let mut last_event = SimTime::ZERO;
+    for (at, node, req) in &scenario.workload.ops {
+        sim.schedule_external(*at, *node, req.clone());
+        last_event = last_event.max(*at);
+    }
+    for (at, fault) in &scenario.faults.events {
+        match fault {
+            FaultEvent::Crash(node) => sim.schedule_crash(*at, *node),
+            FaultEvent::Recover(node) => sim.schedule_recover(*at, *node),
+            FaultEvent::Partition(islands) => sim.schedule_partition(*at, islands.clone()),
+            FaultEvent::StorageFault { node, kind } => {
+                sim.schedule_storage_fault(*at, *node, *kind)
+            }
+        }
+        last_event = last_event.max(*at);
+    }
+    sim.run_until(last_event + scenario.drain);
+    let events = sim.take_outputs();
+    (sim, events)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultConfig;
     use crate::workload::WorkloadConfig;
+    use coterie_core::FaultKind;
     use coterie_quorum::GridCoterie;
     use std::sync::Arc;
 
@@ -221,10 +224,7 @@ mod tests {
         );
         Scenario {
             protocol,
-            sim: SimConfig {
-                seed,
-                ..Default::default()
-            },
+            seed,
             workload,
             faults,
             drain: SimDuration::from_secs(10),
@@ -273,5 +273,37 @@ mod tests {
         assert_eq!(a.writes_ok, b.writes_ok);
         assert_eq!(a.msgs_sent, b.msgs_sent);
         assert_eq!(a.reads_ok, b.reads_ok);
+    }
+
+    #[test]
+    fn scripted_bit_flip_quarantines_a_node_that_rejoins() {
+        // A bit flip corrupts n4's journal in place; the restart after the
+        // crash finds the damage, boots quarantined (stale, 2PC decisions
+        // fenced) and rejoins through the stale-rejoin protocol.
+        let victim = NodeId(4);
+        let faults = FaultPlan::scripted(vec![
+            (SimTime(8_000_000), FaultEvent::Crash(victim)),
+            (SimTime(9_000_000), FaultEvent::Recover(victim)),
+        ])
+        .with_storage_fault(victim, SimTime(3_000_000), FaultKind::BitFlip);
+        let s = base_scenario(3, faults);
+        let (sim, events) = simulate(&s);
+        let fired: Vec<_> = sim.fired_faults(victim).iter().map(|f| f.kind).collect();
+        assert_eq!(fired, vec![FaultKind::BitFlip], "the scripted fault fires");
+        let rejoined = &sim.node(victim).durable;
+        assert!(
+            rejoined.quarantine_fence > 0,
+            "the restart quarantined the journal"
+        );
+        assert!(!rejoined.rejoin_pending && !rejoined.stale, "{rejoined:?}");
+        let newest = (0..9).map(|i| sim.node(NodeId(i)).durable.version).max();
+        assert_eq!(
+            Some(rejoined.version),
+            newest,
+            "the rejoined node caught up"
+        );
+
+        let check = check_run(&s.workload.issued, &events, s.protocol.n_pages);
+        assert!(check.consistent(), "{:?}", check.violations);
     }
 }

@@ -27,7 +27,7 @@ pub struct WorkloadConfig {
     pub page_bytes: usize,
     /// Total workload duration.
     pub duration: SimDuration,
-    /// RNG seed (independent of the simulator's).
+    /// RNG seed (independent of the run seed).
     pub seed: u64,
 }
 

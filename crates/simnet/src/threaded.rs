@@ -1,13 +1,11 @@
 //! A real-thread runtime for [`Application`] nodes.
 //!
-//! The discrete-event [`Sim`](crate::Sim) is the measurement substrate; this
-//! module hosts the *same unmodified node programs* on OS threads with
-//! crossbeam channels and wall-clock timers, demonstrating that the protocol
-//! implementation is not simulator-bound. Message delivery, the
-//! `RPC.CallFailed` bounce for down nodes, timers with cancellation, crash
-//! (volatile-state wipe) and recovery all behave like the simulator's —
-//! except that time is real and scheduling is whatever the OS provides, so
-//! runs are *not* reproducible (use the simulator for experiments).
+//! Hosts node programs on OS threads with crossbeam channels and wall-clock
+//! timers: message delivery, the `RPC.CallFailed` bounce for down nodes,
+//! timers with cancellation, crash (volatile-state wipe) and recovery.
+//! Time is real and scheduling is whatever the OS provides, so runs are
+//! *not* reproducible; the deterministic substrate for experiments is
+//! `coterie-core`'s `StepDriver`.
 
 // This runtime is the *real* host: wall clocks and OS bookkeeping are its
 // whole point (see the module docs — runs are intentionally irreproducible).
@@ -66,9 +64,8 @@ impl<A: Application> Ord for Pending<A> {
 
 struct TimerService<A: Application> {
     heap: Mutex<BinaryHeap<Pending<A>>>,
-    /// Canceled timers, keyed by `(node, id)`: unlike the simulator, timer
-    /// ids here are allocated per node thread, so the bare id is not unique
-    /// across nodes.
+    /// Canceled timers, keyed by `(node, id)`: timer ids are allocated per
+    /// node thread, so the bare id is not unique across nodes.
     canceled: Mutex<HashSet<(NodeId, TimerId)>>,
     wake: Condvar,
     stopping: AtomicBool,

@@ -10,13 +10,13 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
-use dyncoterie::simnet::{Partition, Sim, SimConfig, SimDuration, SimTime};
+use dyncoterie::simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
-fn write(sim: &mut Sim<JournaledNode>, id: u64, node: u32) -> bool {
+fn write(sim: &mut StepDriver, id: u64, node: u32) -> bool {
     let at = sim.now();
     sim.schedule_external(
         at,
@@ -36,9 +36,7 @@ fn main() {
     let n = 9;
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        JournaledNode::new(id, config.clone())
-    });
+    let mut sim = StepDriver::lan(n, config);
     sim.schedule_external(
         SimTime::ZERO,
         NodeId(0),
@@ -54,7 +52,7 @@ fn main() {
     // shrinks and a write from node 0 still succeeds.
     println!("killing nodes one at a time; epoch adapts between failures:");
     for (i, victim) in [8u32, 7, 6, 5, 4, 3].iter().enumerate() {
-        sim.crash_now(NodeId(*victim));
+        sim.crash(NodeId(*victim));
         sim.run_for(SimDuration::from_secs(10)); // epoch check adapts
         let ok = write(&mut sim, 10 + i as u64, 0);
         let epoch = sim.node(NodeId(0)).durable.elist.len();
@@ -69,7 +67,7 @@ fn main() {
     // write quorum of the 3-node epoch forever... but {1, 2} does (the 2x2
     // grid's short column rule), while the singleton {0} cannot write.
     println!("\npartitioning the survivors: {{0}} | {{1, 2}}");
-    sim.set_partition_now(Partition::split(n, &[NodeId(0)]));
+    sim.set_partition((0..n).map(|i| u8::from(i == 0)).collect());
     sim.run_for(SimDuration::from_secs(10));
     sim.take_outputs();
     let minority_ok = write(&mut sim, 100, 0);
@@ -91,9 +89,9 @@ fn main() {
     // Heal and recover everyone: the epoch re-expands and all replicas
     // converge.
     println!("\nhealing the partition and recovering all nodes ...");
-    sim.set_partition_now(Partition::connected(n));
+    sim.heal_partition();
     for v in [3u32, 4, 5, 6, 7, 8] {
-        sim.recover_now(NodeId(v));
+        sim.recover(NodeId(v));
     }
     sim.run_for(SimDuration::from_secs(40));
     sim.take_outputs();

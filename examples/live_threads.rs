@@ -1,7 +1,7 @@
 //! The dynamic grid protocol on real OS threads.
 //!
-//! The same `JournaledNode` byte-for-byte that runs on the deterministic
-//! simulator here runs on nine OS threads with crossbeam channels and
+//! The same node shell that runs on the deterministic `StepDriver` here
+//! runs on nine OS threads with crossbeam channels and
 //! wall-clock timers — writes commit in real milliseconds, a crashed node
 //! is voted out of the epoch by the periodic epoch check, and writes keep
 //! flowing.

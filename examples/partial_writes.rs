@@ -10,18 +10,16 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
-use dyncoterie::simnet::{Sim, SimConfig, SimDuration, SimTime};
+use dyncoterie::simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
 fn main() {
     let n = 9;
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n).pages(8);
-    let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        JournaledNode::new(id, config.clone())
-    });
+    let mut sim = StepDriver::lan(n, config);
 
     // Twelve partial writes from rotating coordinators, each touching a
     // different page — like appends to different blocks of a file.

@@ -1,6 +1,6 @@
 //! Quickstart: a 9-replica object under the dynamic grid protocol.
 //!
-//! Builds a simulated cluster, writes a value, reads it back from another
+//! Builds a simulated cluster on a LAN schedule, writes a value, reads it back from another
 //! node, kills a replica, lets the epoch-checking protocol adapt, and
 //! shows that writes keep working.
 //!
@@ -8,10 +8,10 @@
 
 use bytes::Bytes;
 use dyncoterie::protocol::{
-    ClientRequest, JournaledNode, PartialWrite, ProtocolConfig, ProtocolEvent,
+    ClientRequest, PartialWrite, ProtocolConfig, ProtocolEvent, StepDriver,
 };
 use dyncoterie::quorum::{GridCoterie, NodeId};
-use dyncoterie::simnet::{Sim, SimConfig, SimDuration, SimTime};
+use dyncoterie::simnet::{SimDuration, SimTime};
 use std::sync::Arc;
 
 fn main() {
@@ -20,9 +20,7 @@ fn main() {
     let n = 9;
     let config = ProtocolConfig::new(Arc::new(GridCoterie::new()), n)
         .check_period(SimDuration::from_secs(2));
-    let mut sim = Sim::new(n, SimConfig::default(), |id| {
-        JournaledNode::new(id, config.clone())
-    });
+    let mut sim = StepDriver::lan(n, config);
 
     // 2. A client at node 0 writes page 0.
     sim.schedule_external(
@@ -62,7 +60,7 @@ fn main() {
     // 4. Kill a replica; epoch checking notices and shrinks the epoch so
     //    future quorums avoid the dead node.
     println!("\ncrashing node 8 ...");
-    sim.crash_now(NodeId(8));
+    sim.crash(NodeId(8));
     sim.run_for(SimDuration::from_secs(8));
     for (t, node, event) in sim.take_outputs() {
         if let ProtocolEvent::EpochInstalled { enumber, members } = event {

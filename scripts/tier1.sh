@@ -48,6 +48,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> example smoke runs"
 cargo run --release --example quickstart
 cargo run --release --example failover
+cargo run --release --example partial_writes
+
+echo "==> experiment goldens (E7/E8/E13 stdout, byte for byte)"
+# The scenario tables run on the LAN-scheduled StepDriver at the bins'
+# default arguments. A change that moves any digit must regenerate the
+# golden (bin > crates/harness/tests/data/<bin>.golden.txt) and explain
+# the difference.
+for exp in load_sharing partial_writes safety_ablation; do
+  cargo run --release -q -p coterie-harness --bin "$exp" |
+    diff - "crates/harness/tests/data/$exp.golden.txt"
+done
 
 echo "==> throughput smoke (closed-loop load driver, bounded)"
 # Both coterie rules with batching+pipelining+group-commit enabled on the
